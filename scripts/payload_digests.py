@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Print one sha256 per benchmark pool instance, over its solve payload.
+
+Solves every pool instance of every ``perfbench`` workload through
+``aidfit.bench.run_solve`` and prints ``workload seed digest``, the digest
+being the sha256 of the payload serialized as JSON with sorted keys. The
+payload is the deterministic part of a report, so two revisions that print
+the same lines produce byte-identical outputs on the whole pool. The script
+solves with the ``src`` and ``perfbench`` next to it, so to compare two
+checkouts run a copy in each and diff the outputs:
+
+    python3 scripts/payload_digests.py > new.txt
+    python3 ../other-checkout/scripts/payload_digests.py > old.txt
+    diff old.txt new.txt
+
+BLAS runs single-threaded, as in the benchmark, so the digests repeat
+across runs on one host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def payload_digest(report: dict) -> str:
+    text = json.dumps(report["payload"], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from aidfit.bench import run_solve
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        for seed in range(1, workload.pool + 1):
+            report = run_solve(*workload.instance(seed))
+            print(name, seed, payload_digest(report), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,12 +11,14 @@ agreement proves nothing; the problem supplies per-cluster terms that turn
 it into a sound upper bound, and after agreement the loop keeps splitting
 until that bound meets the incumbent, the partition holds only identical
 rows, or the next exact solve would exceed the enumeration budget.
+
+Inside the loop a partition is a label vector and a sign pattern an integer
+code, so each iteration's pass over the full data is a few array operations.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -29,7 +31,6 @@ __all__ = [
     "DeclusterError",
     "LowerBoundViolationError",
     "IterationLimitError",
-    "SignPattern",
     "ClusterPartition",
     "AggregatedInstance",
     "SolverConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "AidReport",
     "aggregate",
     "residual_signs",
+    "sign_codes",
     "check_optimality",
     "decluster",
     "refine",
@@ -46,8 +48,6 @@ __all__ = [
     "run_aid",
     "validate_report",
 ]
-
-SignPattern = tuple[int, ...]
 
 DEFAULT_EPS_SIGN = 1e-9
 BOUND_SLACK = 1e-9
@@ -78,54 +78,146 @@ class IterationLimitError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class ClusterPartition:
-    """Exact partition of row indices 0..n-1 into nonempty clusters."""
+    """Exact partition of row indices 0..n-1 into nonempty clusters.
 
-    n: int
-    clusters: tuple[tuple[int, ...], ...]
-    iteration: int = 1
+    Stored as arrays: ``labels()`` gives each row's cluster, numbered
+    0..k-1 in cluster order; ``order`` lists the rows grouped by cluster,
+    ascending within each, so cluster c is ``order[starts[c]:starts[c] +
+    sizes[c]]`` (``rows(c)``). The ``clusters`` tuple of row tuples is built
+    on first use. Partitions are compared by value: row count, clusters and
+    iteration index.
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        total = 0
-        for k, cluster in enumerate(self.clusters):
+    ``ClusterPartition(n, clusters)`` and ``from_labels`` validate their
+    input; ``decluster`` and ``refine`` build their partitions from labels
+    directly and record ``origin``: for each cluster, the index of the same
+    cluster in the partition it came from, or -1 for the halves of a split.
+    """
+
+    __slots__ = ("n", "iteration", "order", "starts", "sizes", "origin", "_labels", "_clusters")
+
+    def __init__(self, n: int, clusters: Sequence[Sequence[int]], iteration: int = 1):
+        clusters = tuple(tuple(int(i) for i in cluster) for cluster in clusters)
+        for k, cluster in enumerate(clusters):
             if len(cluster) == 0:
                 raise PartitionError(f"cluster {k} is empty")
             if list(cluster) != sorted(cluster):
                 raise PartitionError(f"cluster {k} indices are not sorted")
-            total += len(cluster)
-            seen.update(cluster)
-        if total != self.n or seen != set(range(self.n)):
-            raise PartitionError(
-                f"clusters do not partition 0..{self.n - 1} exactly"
+        sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
+        rows = np.fromiter(
+            (i for cluster in clusters for i in cluster), dtype=np.int64, count=int(sizes.sum())
+        )
+        labels = np.full(n, -1, dtype=np.int64)
+        inside = rows.size == n and ((rows >= 0) & (rows < n)).all()
+        if inside:
+            labels[rows] = np.repeat(np.arange(len(clusters)), sizes)
+        if not inside or (labels < 0).any():
+            raise PartitionError(f"clusters do not partition 0..{n - 1} exactly")
+        self._index(labels, len(clusters), iteration)
+        self._clusters = clusters
+
+    @classmethod
+    def _indexed(
+        cls, labels: np.ndarray, count: int, iteration: int, origin=None, hint=None
+    ) -> "ClusterPartition":
+        """Unchecked constructor over labels that number ``count`` nonempty clusters.
+
+        ``hint`` is a row order that lists each cluster's rows in ascending
+        order, such as the order of the partition a split started from;
+        sorting it by label is cheaper than a full sort.
+        """
+        out = object.__new__(cls)
+        out._index(labels, count, iteration, origin, hint)
+        out._clusters = None
+        return out
+
+    def _index(self, labels, count, iteration, origin=None, hint=None) -> None:
+        self.n = int(labels.size)
+        self.iteration = iteration
+        self.origin = origin
+        self._labels = labels
+        if hint is None:
+            self.order = np.argsort(labels, kind="stable")
+        else:
+            self.order = hint[np.argsort(labels[hint], kind="stable")]
+        self.sizes = np.bincount(labels, minlength=count)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        for arr in (labels, self.order, self.sizes, self.starts):
+            arr.flags.writeable = False
+
+    @property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        if self._clusters is None:
+            self._clusters = tuple(
+                tuple(self.rows(c).tolist()) for c in range(self.cluster_count)
             )
+        return self._clusters
 
     @property
     def cluster_count(self) -> int:
-        return len(self.clusters)
+        return self.sizes.size
+
+    def rows(self, c: int) -> np.ndarray:
+        """Ascending row indices of cluster ``c``."""
+        return self.order[self.starts[c] : self.starts[c] + self.sizes[c]]
+
+    def labels(self) -> np.ndarray:
+        """Read-only int64 cluster index of every row."""
+        return self._labels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClusterPartition):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.iteration == other.iteration
+            and np.array_equal(self._labels, other._labels)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.iteration, self._labels.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"ClusterPartition(n={self.n}, clusters={self.cluster_count}, "
+            f"iteration={self.iteration})"
+        )
 
     @staticmethod
     def singletons(n: int, iteration: int = 1) -> "ClusterPartition":
-        return ClusterPartition(
-            n=n, clusters=tuple((i,) for i in range(n)), iteration=iteration
-        )
+        return ClusterPartition._indexed(np.arange(n, dtype=np.int64), n, iteration)
 
     @staticmethod
     def from_labels(labels: Sequence[int], iteration: int = 1) -> "ClusterPartition":
-        """Build a partition from per-row cluster labels, dropping gaps."""
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(int(lab), []).append(i)
-        clusters = tuple(
-            tuple(groups[lab]) for lab in sorted(groups) if groups[lab]
-        )
-        return ClusterPartition(n=len(labels), clusters=clusters, iteration=iteration)
+        """Build a partition from per-row cluster labels, dropping gaps.
 
-    def labels(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int64)
-        for k, cluster in enumerate(self.clusters):
-            out[list(cluster)] = k
+        Clusters follow the ascending order of their labels.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1:
+            raise PartitionError(f"labels must be one-dimensional, got ndim={labels.ndim}")
+        values, compact = np.unique(labels, return_inverse=True)
+        return ClusterPartition._indexed(
+            compact.astype(np.int64, copy=False), values.size, iteration
+        )
+
+    def _split(self, split: np.ndarray, second: np.ndarray) -> "ClusterPartition":
+        """Split every cluster flagged in ``split`` into two adjacent clusters.
+
+        ``second`` flags the rows that go to the second one. Each half keeps
+        its rows in ascending order; later clusters move right to make room.
+        """
+        labels = self._labels
+        shift = np.cumsum(split) - split
+        count = self.cluster_count + int(np.count_nonzero(split))
+        kept = np.flatnonzero(~split)
+        origin = np.full(count, -1, dtype=np.int64)
+        origin[kept + shift[kept]] = kept
+        out = ClusterPartition._indexed(
+            labels + shift[labels] + second, count, self.iteration + 1, origin, self.order
+        )
+        if (out.sizes == 0).any():
+            raise PartitionError("a split left a cluster empty")
         return out
 
 
@@ -302,8 +394,19 @@ class AidReport:
         return self.final_gap <= 0.0
 
 
-def aggregate(B: DataMatrix, A: DataMatrix, partition: ClusterPartition) -> AggregatedInstance:
-    """Collapse every cluster to the entrywise mean of its rows."""
+def aggregate(
+    B: DataMatrix,
+    A: DataMatrix,
+    partition: ClusterPartition,
+    previous: AggregatedInstance | None = None,
+) -> AggregatedInstance:
+    """Collapse every cluster to the entrywise mean of its rows.
+
+    A cluster's mean is the sum of its rows, in ascending row order, divided
+    by its size. ``previous``, the aggregate of the partition that
+    ``partition`` was split from, supplies the means of the clusters that
+    the split kept (``partition.origin``), so only new clusters are summed.
+    """
     if B.rows != partition.n or A.rows != partition.n:
         raise PartitionError(
             f"row counts {B.rows}/{A.rows} do not match partition over {partition.n} rows"
@@ -311,29 +414,45 @@ def aggregate(B: DataMatrix, A: DataMatrix, partition: ClusterPartition) -> Aggr
     k = partition.cluster_count
     b_out = np.empty((k, B.cols))
     a_out = np.empty((k, A.cols))
-    weights = []
+    fresh = range(k)
+    if previous is not None and partition.origin is not None:
+        kept = partition.origin >= 0
+        b_out[kept] = previous.B_agg.values[partition.origin[kept]]
+        a_out[kept] = previous.A_agg.values[partition.origin[kept]]
+        fresh = np.flatnonzero(~kept).tolist()
     b_vals = B.values
     a_vals = A.values
-    for idx, cluster in enumerate(partition.clusters):
-        rows = np.asarray(cluster, dtype=np.int64)
-        size = rows.size
-        b_out[idx, :] = b_vals[rows, :].sum(axis=0) / size
-        a_out[idx, :] = a_vals[rows, :].sum(axis=0) / size
-        weights.append(int(size))
+    for c in fresh:
+        rows = partition.rows(c)
+        b_out[c, :] = b_vals[rows, :].sum(axis=0) / rows.size
+        a_out[c, :] = a_vals[rows, :].sum(axis=0) / rows.size
     return AggregatedInstance(
-        B_agg=DataMatrix(b_out), A_agg=DataMatrix(a_out), weights=tuple(weights)
+        B_agg=DataMatrix(b_out), A_agg=DataMatrix(a_out), weights=tuple(partition.sizes.tolist())
     )
 
 
-def residual_signs(B: DataMatrix, F: DataMatrix, eps_sign: float = DEFAULT_EPS_SIGN) -> list[SignPattern]:
-    """Per-row sign pattern of B - F, mapping the zero band [-eps_sign, inf) to +1."""
+def residual_signs(B: DataMatrix, F: DataMatrix, eps_sign: float = DEFAULT_EPS_SIGN) -> np.ndarray:
+    """Sign pattern of B - F as an (n, q) int8 array of +1/-1, one row per data row.
+
+    Residuals in the zero band [-eps_sign, inf) count as +1.
+    """
     if B.shape != F.shape:
         raise PartitionError(f"shape mismatch: {B.shape} vs {F.shape}")
     if eps_sign < 0:
         raise ValueError("eps_sign must be nonnegative")
-    resid = B.values - F.values
-    plus = resid >= -eps_sign
-    return [tuple(1 if flag else -1 for flag in row) for row in plus]
+    return np.where(B.values - F.values >= -eps_sign, np.int8(1), np.int8(-1))
+
+
+def sign_codes(signs) -> np.ndarray:
+    """Integer code of each row of an (n, q) +1/-1 array.
+
+    Bit j, counted from the most significant, is set when column j is -1,
+    so codes order patterns lexicographically with +1 before -1.
+    """
+    codes = np.zeros(len(signs), dtype=np.int64)
+    for column in np.asarray(signs).T:
+        codes = 2 * codes + (column < 0)
+    return codes
 
 
 def check_optimality(
@@ -343,62 +462,58 @@ def check_optimality(
     solution,
     partition: ClusterPartition,
     eps_sign: float = DEFAULT_EPS_SIGN,
-) -> tuple[bool, list[int], list[SignPattern]]:
+    fitted: DataMatrix | None = None,
+) -> tuple[bool, list[int], np.ndarray]:
     """Test whether every cluster's rows share one residual sign pattern.
 
-    Returns the verdict, the indices of clusters with two or more distinct
-    patterns, and the per-row patterns themselves.
+    ``fitted`` is ``problem.apply_f(solution, A)`` when the caller already
+    has it; otherwise it is evaluated here. Returns the verdict, the indices
+    of clusters with two or more distinct patterns, and the (n, q) int8
+    sign array from ``residual_signs``. A cluster disagrees exactly when the
+    smallest and largest ``sign_codes`` of its rows differ.
     """
-    fitted = problem.apply_f(solution, A)
+    if fitted is None:
+        fitted = problem.apply_f(solution, A)
     signs = residual_signs(B, fitted, eps_sign)
-    violating = []
-    for k, cluster in enumerate(partition.clusters):
-        first = signs[cluster[0]]
-        if any(signs[i] != first for i in cluster[1:]):
-            violating.append(k)
+    codes = sign_codes(signs)[partition.order]
+    low = np.minimum.reduceat(codes, partition.starts)
+    high = np.maximum.reduceat(codes, partition.starts)
+    violating = np.flatnonzero(low != high).tolist()
     return (len(violating) == 0), violating, signs
-
-
-def _pattern_order_key(pattern: SignPattern) -> tuple[int, ...]:
-    # lexicographic with +1 ordered before -1 per coordinate
-    return tuple(0 if s == 1 else 1 for s in pattern)
 
 
 def decluster(
     partition: ClusterPartition,
-    signs: Sequence[SignPattern],
+    signs,
     violating: Sequence[int],
 ) -> ClusterPartition:
     """Split each violating cluster into its mode-pattern rows and the rest.
 
-    Non-violating clusters are copied unchanged; the result renumbers
-    clusters contiguously and increments the iteration index.
+    ``signs`` is the (n, q) +1/-1 array from ``check_optimality``. A
+    cluster's mode is its most common pattern, the smallest ``sign_codes``
+    value on a tie (+1 before -1, first column first). The mode rows take
+    the cluster's slot and the rest follow right after it; other clusters
+    are copied unchanged and move right to make room. The iteration index
+    increments.
     """
-    violating_set = set(violating)
-    if not violating_set.issubset(range(partition.cluster_count)):
+    k = partition.cluster_count
+    index = np.asarray(violating, dtype=np.int64)
+    if index.size and (index.min() < 0 or index.max() >= k):
         raise DeclusterError("violating indices outside the cluster range")
-    new_clusters: list[tuple[int, ...]] = []
-    for k, cluster in enumerate(partition.clusters):
-        if k not in violating_set:
-            new_clusters.append(cluster)
-            continue
-        counts = Counter(signs[i] for i in cluster)
-        if len(counts) < 2:
-            raise DeclusterError(
-                f"cluster {k} was marked violating but has a single sign pattern"
-            )
-        best_count = max(counts.values())
-        mode = min(
-            (pat for pat, cnt in counts.items() if cnt == best_count),
-            key=_pattern_order_key,
+    split = np.zeros(k, dtype=bool)
+    split[index] = True
+    signs = np.asarray(signs)
+    labels = partition.labels()
+    codes = sign_codes(signs)
+    width = 1 << signs.shape[1]
+    table = np.bincount(labels * width + codes, minlength=k * width).reshape(k, width)
+    single = split & (np.count_nonzero(table, axis=1) < 2)
+    if single.any():
+        raise DeclusterError(
+            f"cluster {int(np.argmax(single))} was marked violating but has a single sign pattern"
         )
-        mode_rows = tuple(i for i in cluster if signs[i] == mode)
-        rest_rows = tuple(i for i in cluster if signs[i] != mode)
-        new_clusters.append(mode_rows)
-        new_clusters.append(rest_rows)
-    return ClusterPartition(
-        n=partition.n, clusters=tuple(new_clusters), iteration=partition.iteration + 1
-    )
+    mode = table.argmax(axis=1)
+    return partition._split(split, split[labels] & (codes != mode[labels]))
 
 
 def refine(
@@ -406,17 +521,15 @@ def refine(
 ) -> ClusterPartition:
     """Split every cluster with a positive bound term in two, in place.
 
-    Other clusters are copied unchanged; the iteration index increments.
+    The halves come from ``problem.split_cluster``. Other clusters are
+    copied unchanged; the iteration index increments.
     """
-    new_clusters: list[tuple[int, ...]] = []
-    for cluster, term in zip(partition.clusters, terms):
-        if term > 0.0:
-            new_clusters.extend(problem.split_cluster(A, cluster))
-        else:
-            new_clusters.append(cluster)
-    return ClusterPartition(
-        n=partition.n, clusters=tuple(new_clusters), iteration=partition.iteration + 1
-    )
+    split = np.asarray(terms) > 0.0
+    second = np.zeros(partition.n, dtype=bool)
+    for c in np.flatnonzero(split).tolist():
+        _, rest = problem.split_cluster(A, partition.clusters[c])
+        second[list(rest)] = True
+    return partition._split(split, second)
 
 
 def optimality_gap(
@@ -465,15 +578,16 @@ def run_aid(
       for minimize-sense problems only, where agreement certifies a global
       optimum;
     - ``gap_below_tol`` when the relative gap drops to ``config.tol``;
-    - ``enumeration_budget`` (maximize sense, uncertified) when the clusters
-      agree, the gap exceeds ``tol`` and the refined partition would exceed
-      the problem's solve budget; the incumbent and its sound gap are kept.
+    - ``enumeration_budget`` (maximize sense, uncertified) when the next
+      partition, from either split below, would exceed the problem's solve
+      budget; the incumbent and its sound gap are kept.
 
-    Disagreeing clusters are split by ``decluster``. When a maximize-sense
-    run's clusters agree but its gap exceeds ``tol``, ``refine`` splits
-    every cluster with a positive upper-bound term. Raises
-    ``IterationLimitError`` carrying the partial report if
-    ``config.max_iters`` is exhausted first.
+    Each iteration evaluates the fit on the full data once; that one
+    evaluation gives both the objective and the sign check. Disagreeing
+    clusters are split by ``decluster``. When a maximize-sense run's
+    clusters agree but its gap exceeds ``tol``, ``refine`` splits every
+    cluster with a positive upper-bound term. Raises ``IterationLimitError``
+    carrying the partial report if ``config.max_iters`` is exhausted first.
     """
     config = config or AidConfig()
     if B.rows != A.rows or B.rows != initial.n:
@@ -500,8 +614,9 @@ def run_aid(
     upper = np.inf if maximize else None
     termination = None
 
+    agg = None
     for t in range(1, max_iters + 1):
-        agg = aggregate(B, A, partition)
+        agg = aggregate(B, A, partition, previous=agg)
         solution = problem.solve_weighted(agg, config.solver)
         bound = float(solution.objective)
         fitted = problem.apply_f(solution, A)
@@ -526,7 +641,7 @@ def run_aid(
             )
         )
         satisfied, violating, signs = check_optimality(
-            B, A, problem, solution, partition, config.eps_sign
+            B, A, problem, solution, partition, config.eps_sign, fitted=fitted
         )
         if satisfied and partition.cluster_count == n:
             termination = "fully_disaggregated"
@@ -537,18 +652,21 @@ def run_aid(
         if gap <= config.tol:
             termination = "gap_below_tol"
             break
-        if not satisfied:
-            partition = decluster(partition, signs, violating)
-            continue
-        # maximize sense, clusters agree, gap above tol: refine
-        splits = int(np.count_nonzero(terms > 0.0))
-        if splits == 0:
-            termination = "fully_disaggregated"
-            break
-        if not problem.fits_budget(partition.cluster_count + splits, config.solver):
+        if satisfied:
+            # maximize sense, clusters agree, gap above tol: refine
+            splits = int(np.count_nonzero(terms > 0.0))
+            if splits == 0:
+                termination = "fully_disaggregated"
+                break
+        else:
+            splits = len(violating)
+        if maximize and not problem.fits_budget(partition.cluster_count + splits, config.solver):
             termination = "enumeration_budget"
             break
-        partition = refine(A, problem, partition, terms)
+        if satisfied:
+            partition = refine(A, problem, partition, terms)
+        else:
+            partition = decluster(partition, signs, violating)
 
     report = AidReport(
         n=n,

@@ -7,6 +7,7 @@ route for every dual-route check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -187,3 +188,25 @@ def pattern_group_check(signs, clusters) -> list[int]:
         if len({tuple(signs[i]) for i in cluster}) > 1:
             bad.append(k)
     return bad
+
+
+def counter_decluster(signs, clusters, violating) -> tuple[tuple[int, ...], ...]:
+    """Clusters after splitting each violator into its mode rows, then the rest.
+
+    The mode is the most common pattern, ties going to the pattern that is
+    lexicographically first with +1 before -1. Other clusters are kept.
+    """
+    out = []
+    for k, cluster in enumerate(clusters):
+        if k not in violating:
+            out.append(tuple(cluster))
+            continue
+        counts = Counter(tuple(signs[i]) for i in cluster)
+        best = max(counts.values())
+        mode = min(
+            (pat for pat, cnt in counts.items() if cnt == best),
+            key=lambda pat: tuple(s == -1 for s in pat),
+        )
+        out.append(tuple(i for i in cluster if tuple(signs[i]) == mode))
+        out.append(tuple(i for i in cluster if tuple(signs[i]) != mode))
+    return tuple(out)

@@ -223,6 +223,7 @@ class TestCli:
         assert code == EXIT_INPUT_ERROR
 
     def test_budget_exceeded_exit_code(self):
+        # eight initial clusters need 2^15 sign matrices: over the cap at the first solve
         spec = SyntheticSpec(n=40, m=4, informative_p=0, seed=1, kind="pca_sample")
         code = main(
             [
@@ -231,6 +232,8 @@ class TestCli:
                 "l1pca",
                 "--p",
                 "2",
+                "--k0",
+                "8",
                 "--instance",
                 json.dumps(spec.to_dict()),
                 "--pca-cap",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import replace
@@ -34,6 +34,7 @@ from aidfit.problems import (
 from conftest import make_agg
 from oracles import (
     cluster_means,
+    counter_decluster,
     l1pca_enumeration_oracle,
     lad_vertex_oracle,
     pattern_group_check,
@@ -122,17 +123,17 @@ class TestResidualSigns:
         signs = residual_signs(
             DataMatrix([[2.0, -3.0]]), DataMatrix([[0.0, 0.0]]), eps_sign=0.0
         )
-        assert signs == [(1, -1)]
+        assert signs.tolist() == [[1, -1]]
 
     def test_zero_maps_to_plus(self):
         signs = residual_signs(DataMatrix([[0.0, 0.0]]), DataMatrix([[0.0, 0.0]]))
-        assert signs == [(1, 1)]
+        assert signs.tolist() == [[1, 1]]
 
     def test_zero_band(self):
         signs = residual_signs(
             DataMatrix([[-1e-12, 5.0]]), DataMatrix([[0.0, 0.0]]), eps_sign=1e-9
         )
-        assert signs == [(1, 1)]
+        assert signs.tolist() == [[1, 1]]
 
     def test_shape_mismatch(self):
         with pytest.raises(PartitionError):
@@ -234,6 +235,49 @@ class TestDecluster:
         assert out.cluster_count <= 2 * part.cluster_count
 
 
+@st.composite
+def labelled_signs(draw):
+    q = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    pattern = st.tuples(*[st.sampled_from((1, -1))] * q)
+    return labels, draw(st.lists(pattern, min_size=n, max_size=n))
+
+
+class TestArrayPath:
+    """check_optimality, decluster and aggregate against tuple-based references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_signs())
+    @example(([0, 0, 1, 1, 2, 2, 2], [(1,), (-1,), (-1,), (1,), (1,), (-1,), (-1,)]))
+    @example(([0, 0, 0, 0], [(1, -1), (-1, 1), (-1, 1), (1, -1)]))
+    @example(([3, 0, 2, 1], [(1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, 1, -1)]))
+    def test_matches_tuple_reference(self, case):
+        labels, signs = case
+        n = len(labels)
+        part = ClusterPartition.from_labels(labels)
+        b = DataMatrix(np.array(signs, dtype=float))
+        a = DataMatrix(np.sin(np.arange(3.0 * n)).reshape(n, 3))
+        ok, violating, out_signs = check_optimality(
+            b, a, None, None, part, eps_sign=0.0, fitted=DataMatrix(np.zeros(b.shape))
+        )
+        assert out_signs.tolist() == [list(s) for s in signs]
+        assert violating == pattern_group_check(signs, part.clusters)
+        assert ok == (violating == [])
+
+        out = decluster(part, out_signs, violating)
+        expected = counter_decluster(signs, part.clusters, violating)
+        assert out.clusters == expected
+        assert out == ClusterPartition(n, expected, iteration=part.iteration + 1)
+
+        # means of the clusters a split kept are reused bit for bit
+        reused = aggregate(b, a, out, previous=aggregate(b, a, part))
+        fresh = aggregate(b, a, ClusterPartition(n, expected))
+        assert np.array_equal(reused.B_agg.values, fresh.B_agg.values)
+        assert np.array_equal(reused.A_agg.values, fresh.A_agg.values)
+        assert reused.weights == fresh.weights
+
+
 class TestOptimalityGap:
     def test_direct_value(self):
         assert abs(optimality_gap(110.0, 100.0) - 0.09090909090909091) <= 1e-12
@@ -332,10 +376,29 @@ class TestRunAid:
         assert report.final_gap <= 0.05 + 1e-12
         validate_report(report, tol=0.05)
 
+    def test_one_evaluation_per_iteration(self, rng):
+        b, a = lad_instance(rng, n=60, m=2)
+        prob = CountingLad(2)
+        report = run_aid(b, a, prob, random_partition(rng, 60, 3))
+        assert report.total_iterations >= 2
+        assert prob.evaluations == report.total_iterations
+
     def test_shape_validation(self, rng):
         b, a = lad_instance(rng, n=10)
         with pytest.raises(PartitionError):
             run_aid(b, a, LadRegressionProblem(3), ClusterPartition.singletons(9))
+
+
+class CountingLad(LadRegressionProblem):
+    """Counts full-data evaluations of the fit."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.evaluations = 0
+
+    def apply_f(self, solution, A):
+        self.evaluations += 1
+        return super().apply_f(solution, A)
 
 
 class CountingPca(PcaProjectionProblem):
@@ -380,6 +443,24 @@ class TestRunAidMaximize:
             (last.upper_bound - last.best_objective) / last.best_objective, abs=1e-15
         )
         assert last.upper_bound >= l1pca_enumeration_oracle(a.values, 1) - 1e-9
+        validate_report(report, tol=0.0)
+
+    def test_budget_stop_before_disagreement_split(self, rng):
+        a, _ = two_blob_pca(rng)
+        # each cluster holds rows of both blobs, which project with opposite signs
+        part = ClusterPartition.from_labels([0, 1] * 6)
+        prob = CountingPca(2, 1)
+        cap = 2  # two clusters fit, the four a split would make do not
+        config = AidConfig(tol=0.0, solver=SolverConfig(pca_cap=cap))
+        b = prob.zero_target(a.rows)
+        report = run_aid(b, a, prob, part, config)
+        assert report.termination == "enumeration_budget"
+        assert not report.certified_optimal
+        assert [count for count, _ in prob.calls] == [2]
+        assert report.solution is prob.calls[-1][1]
+        ok, violating, _ = check_optimality(b, a, prob, report.solution, part)
+        assert not ok and violating == [0, 1]
+        assert report.iterations[-1].upper_bound >= l1pca_enumeration_oracle(a.values, 1) - 1e-9
         validate_report(report, tol=0.0)
 
     @pytest.mark.parametrize("p", [1, 2])
