@@ -1,20 +1,30 @@
 #!/usr/bin/env python3
-"""Print one sha256 per benchmark pool instance, over its solve payload.
+"""Print one line per benchmark pool instance: payload digest plus its key facts.
 
 Solves every pool instance of every ``perfbench`` workload through
-``aidfit.bench.run_solve`` and prints ``workload seed digest``, the digest
-being the sha256 of the payload serialized as JSON with sorted keys. The
-payload is the deterministic part of a report, so two revisions that print
-the same lines produce byte-identical outputs on the whole pool. The script
-solves with the ``src`` and ``perfbench`` next to it, so to compare two
-checkouts run a copy in each and diff the outputs:
+``aidfit.bench.run_solve`` and prints
+
+    workload seed digest objective termination counts signs
+
+where ``digest`` is the sha256 of the payload serialized as JSON with sorted
+keys, ``objective`` the ``repr`` of the returned objective, ``counts`` the
+per-iteration cluster counts joined by commas, and ``signs`` a 12-digit
+sha256 of the ``sign_matrix`` (``-`` for problems without one). The payload
+is the deterministic part of a report, so two revisions that print the same
+lines produce byte-identical outputs on the whole pool. When a change moves
+the payload bytes only by rounding, the digests differ but the termination,
+the cluster counts and the sign matrices must not, and the objectives can be
+compared numerically.
+
+The script solves with the ``src`` and ``perfbench`` next to it, so to
+compare two checkouts run a copy in each and diff the outputs:
 
     python3 scripts/payload_digests.py > new.txt
     python3 ../other-checkout/scripts/payload_digests.py > old.txt
     diff old.txt new.txt
 
-BLAS runs single-threaded, as in the benchmark, so the digests repeat
-across runs on one host.
+BLAS runs single-threaded, as in the benchmark, so the lines repeat across
+runs on one host.
 """
 
 from __future__ import annotations
@@ -34,6 +44,17 @@ def payload_digest(report: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def payload_facts(report: dict) -> str:
+    payload = report["payload"]
+    counts = ",".join(str(rec["cluster_count"]) for rec in payload["iterations"])
+    signs = payload["solution"].get("sign_matrix")
+    if signs is None:
+        sign_hash = "-"
+    else:
+        sign_hash = hashlib.sha256(json.dumps(signs).encode()).hexdigest()[:12]
+    return f"{payload['objective']!r} {payload['termination']} {counts} {sign_hash}"
+
+
 def main() -> None:
     for var in THREAD_VARS:
         os.environ[var] = "1"
@@ -44,7 +65,7 @@ def main() -> None:
     for name, workload in WORKLOADS.items():
         for seed in range(1, workload.pool + 1):
             report = run_solve(*workload.instance(seed))
-            print(name, seed, payload_digest(report), flush=True)
+            print(name, seed, payload_digest(report), payload_facts(report), flush=True)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .core import (
     residual_signs,
     run_aid,
 )
-from .linalg import DataMatrix, l1_norm, matmul, symmetric_eigen, thin_svd
+from .linalg import DataMatrix, l1_norm, matmul, symmetric_eigen
 
 __all__ = [
     "__version__",
@@ -31,7 +31,6 @@ __all__ = [
     "matmul",
     "l1_norm",
     "symmetric_eigen",
-    "thin_svd",
     "ClusterPartition",
     "AggregatedInstance",
     "SolverConfig",

@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .core import AggregatedInstance, ClusterPartition
-from .linalg import DataMatrix, matmul, symmetric_eigen, transpose
+from .linalg import DataMatrix, symmetric_eigen
 from .problems.lad import solve_weighted_lad
 
 __all__ = [
@@ -117,10 +117,9 @@ def pca_projection_features(A: DataMatrix, p: int) -> DataMatrix:
     """Projections of the rows onto the top p L2 principal directions."""
     if p > A.cols:
         raise ValueError(f"p={p} exceeds the {A.cols} available columns")
-    gram = matmul(transpose(A), A)
-    _, eigvecs = symmetric_eigen(gram)
-    top = DataMatrix(eigvecs.values[:, :p])
-    return matmul(A, top)
+    a = A.values
+    _, eigvecs = symmetric_eigen(DataMatrix(a.T @ a))
+    return DataMatrix(a @ eigvecs.values[:, :p])
 
 
 def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition:

@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import DataMatrix, l1_norm, sub
+from .linalg import DataMatrix
 
 __all__ = [
     "PartitionError",
@@ -304,9 +304,10 @@ class ProblemDefinition(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} has no upper bound")
 
     def split_cluster(
-        self, A: DataMatrix, cluster: tuple[int, ...]
+        self, A: DataMatrix, cluster: np.ndarray
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Split a cluster with a positive bound term into two nonempty halves."""
+        """Split a cluster, given as ascending row indices, with a positive
+        bound term into two nonempty halves."""
         raise NotImplementedError(f"{type(self).__name__} has no refinement split")
 
     def fits_budget(self, cluster_count: int, config: SolverConfig) -> bool:
@@ -527,7 +528,7 @@ def refine(
     split = np.asarray(terms) > 0.0
     second = np.zeros(partition.n, dtype=bool)
     for c in np.flatnonzero(split).tolist():
-        _, rest = problem.split_cluster(A, partition.clusters[c])
+        _, rest = problem.split_cluster(A, partition.rows(c))
         second[list(rest)] = True
     return partition._split(split, second)
 
@@ -620,7 +621,7 @@ def run_aid(
         solution = problem.solve_weighted(agg, config.solver)
         bound = float(solution.objective)
         fitted = problem.apply_f(solution, A)
-        objective = l1_norm(sub(B, fitted))
+        objective = float(np.abs(B.values - fitted.values).sum())
         if flip * objective < best_internal:
             best_internal = flip * objective
             best_objective = objective

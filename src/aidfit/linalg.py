@@ -1,8 +1,10 @@
-"""Small dense linear algebra kernel shared by every solver.
+"""Validated dense matrices at the API edge, plus the few kernels built on them.
 
-Everything here is deterministic: matrix products accumulate over the inner
-dimension left to right, so repeated runs are bit-identical, and eigen/SVD
-routines apply a fixed sign convention to their output vectors.
+Products and eigendecompositions go to numpy's BLAS/LAPACK kernels.
+Results are byte-identical across repeat runs on one host at a fixed BLAS
+thread count; another host or thread count may move them by rounding.
+``symmetric_eigen`` fixes the sign of each eigenvector so that its output
+does not depend on the kernel's choice.
 """
 
 from __future__ import annotations
@@ -13,19 +15,10 @@ __all__ = [
     "DataMatrix",
     "ShapeError",
     "matmul",
-    "add",
-    "sub",
-    "scale",
-    "transpose",
-    "identity",
-    "zeros",
     "l1_norm",
     "symmetric_eigen",
-    "thin_svd",
 ]
 
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-10
 
 
@@ -70,12 +63,6 @@ class DataMatrix:
         """Read-only 2-D float64 array (C order)."""
         return self._values
 
-    def column(self, j: int) -> np.ndarray:
-        return self._values[:, j]
-
-    def row(self, i: int) -> np.ndarray:
-        return self._values[i, :]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataMatrix):
             return NotImplemented
@@ -90,50 +77,13 @@ class DataMatrix:
         return f"DataMatrix({self.rows}x{self.cols})"
 
 
-def zeros(rows: int, cols: int) -> DataMatrix:
-    return DataMatrix(np.zeros((rows, cols)))
-
-
-def identity(n: int) -> DataMatrix:
-    return DataMatrix(np.eye(n))
-
-
 def matmul(lhs: DataMatrix, rhs: DataMatrix) -> DataMatrix:
-    """Matrix product with a fixed left-to-right accumulation order.
-
-    Each output entry is the running sum over the inner index in increasing
-    order, matching a naive triple loop bit for bit.
-    """
+    """Matrix product of two validated matrices."""
     if lhs.cols != rhs.rows:
         raise ShapeError(
             f"cannot multiply {lhs.rows}x{lhs.cols} by {rhs.rows}x{rhs.cols}"
         )
-    a = lhs.values
-    b = rhs.values
-    out = np.zeros((lhs.rows, rhs.cols))
-    for k in range(lhs.cols):
-        out += np.outer(a[:, k], b[k, :])
-    return DataMatrix(out)
-
-
-def add(lhs: DataMatrix, rhs: DataMatrix) -> DataMatrix:
-    if lhs.shape != rhs.shape:
-        raise ShapeError(f"shape mismatch: {lhs.shape} vs {rhs.shape}")
-    return DataMatrix(lhs.values + rhs.values)
-
-
-def sub(lhs: DataMatrix, rhs: DataMatrix) -> DataMatrix:
-    if lhs.shape != rhs.shape:
-        raise ShapeError(f"shape mismatch: {lhs.shape} vs {rhs.shape}")
-    return DataMatrix(lhs.values - rhs.values)
-
-
-def scale(m: DataMatrix, factor: float) -> DataMatrix:
-    return DataMatrix(m.values * float(factor))
-
-
-def transpose(m: DataMatrix) -> DataMatrix:
-    return DataMatrix(np.ascontiguousarray(m.values.T))
+    return DataMatrix(lhs.values @ rhs.values)
 
 
 def l1_norm(m: DataMatrix) -> float:
@@ -153,102 +103,18 @@ def _first_nonzero_sign_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarr
 
 
 def symmetric_eigen(s: DataMatrix) -> tuple[list[float], DataMatrix]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues sorted descending and the matching orthonormal
-    eigenvector columns. Convergence is declared when the off-diagonal
-    Frobenius mass drops below ``JACOBI_OFFDIAG_TOL``.
+    eigenvector columns, each signed so its first entry above 1e-12 in
+    magnitude is positive.
     """
     if s.rows != s.cols:
         raise ShapeError(f"matrix must be square, got {s.rows}x{s.cols}")
     a = s.values
     if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-10")
-
-    n = s.rows
-    work = a.copy()
-    vectors = np.eye(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(work, -1) ** 2) * 2.0)
-        if off <= JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= JACOBI_OFFDIAG_TOL / max(1, n * n):
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                # A <- J^T A J with the plane rotation J = [[c, s], [-s, c]]
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - sn * row_q
-                work[q, :] = sn * row_p + c * row_q
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - sn * col_q
-                work[:, q] = sn * col_p + c * col_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                v_p = vectors[:, p].copy()
-                v_q = vectors[:, q].copy()
-                vectors[:, p] = c * v_p - sn * v_q
-                vectors[:, q] = sn * v_p + c * v_q
-
-    eigenvalues = np.diag(work).copy()
+    eigenvalues, vectors = np.linalg.eigh(a)
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
     vectors = _first_nonzero_sign_fix(vectors[:, order])
-    return [float(v) for v in eigenvalues], DataMatrix(vectors)
-
-
-def _gram_schmidt_complete(u: np.ndarray, col: int) -> np.ndarray:
-    """Fill column ``col`` of u with a unit vector orthogonal to earlier columns.
-
-    Candidates are the canonical basis vectors in order, which keeps the
-    completion deterministic.
-    """
-    rows = u.shape[0]
-    for cand in range(rows):
-        v = np.zeros(rows)
-        v[cand] = 1.0
-        for j in range(col):
-            v -= np.dot(u[:, j], v) * u[:, j]
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            u[:, col] = v / norm
-            return u
-    raise ValueError("could not complete an orthonormal basis")
-
-
-def thin_svd(m: DataMatrix) -> tuple[DataMatrix, list[float], DataMatrix]:
-    """Thin SVD for matrices with at most two columns.
-
-    Computed analytically from the eigendecomposition of the column Gram
-    matrix. Zero singular values get deterministic orthonormal completions
-    for the corresponding left singular vectors.
-    """
-    if m.cols > 2:
-        raise ShapeError(f"thin_svd supports at most 2 columns, got {m.cols}")
-    if m.cols == 0:
-        raise ShapeError("thin_svd requires at least 1 column")
-
-    gram = matmul(transpose(m), m)
-    eigvals, eigvecs = symmetric_eigen(gram)
-    sigmas = [float(np.sqrt(max(v, 0.0))) for v in eigvals]
-    v = eigvecs.values.copy()
-
-    a = m.values
-    u = np.zeros((m.rows, m.cols))
-    scale_ref = max(sigmas[0], 1.0)
-    for j, sigma in enumerate(sigmas):
-        if sigma > 1e-12 * scale_ref:
-            u[:, j] = (a @ v[:, j]) / sigma
-        else:
-            u = _gram_schmidt_complete(u, j)
-    return DataMatrix(u), sigmas, DataMatrix(v)
+    return eigenvalues[order].tolist(), DataMatrix(vectors)

@@ -134,9 +134,10 @@ class PcaProjectionProblem(ProblemDefinition):
         return solve_weighted_l1pca(agg, self.p, cap=config.pca_cap)
 
     def bound_terms(self, A: DataMatrix, partition: ClusterPartition) -> np.ndarray:
-        return spread_bound_terms(A.values, partition.clusters, self.p)
+        rows = [partition.rows(c) for c in range(partition.cluster_count)]
+        return spread_bound_terms(A.values, rows, self.p)
 
-    def split_cluster(self, A: DataMatrix, cluster: tuple[int, ...]):
+    def split_cluster(self, A: DataMatrix, cluster: np.ndarray):
         return principal_halves(A.values, cluster)
 
     def fits_budget(self, cluster_count: int, config: SolverConfig) -> bool:

@@ -2,7 +2,7 @@
 
 The optimum of max ||A X||_1 over orthonormal X equals the best nuclear norm
 of A^T S over sign matrices S, so the solver enumerates S (first entry fixed
-to +1, the rest a binary counter) and rounds the winner through a thin SVD.
+to +1, the rest a binary counter) and rounds the winner to its polar factor.
 Aggregated weighted instances reduce to the unweighted problem by scaling
 each row by its cluster size.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import AggregatedInstance
-from ..linalg import DataMatrix, l1_norm, matmul, thin_svd, transpose
+from ..linalg import DataMatrix
 from .lad import InstanceTooLargeError
 
 __all__ = [
@@ -83,6 +83,9 @@ def enumeration_fits(rows: int, p: int, cap: int) -> bool:
 def spread_bound_terms(a: np.ndarray, clusters, p: int) -> np.ndarray:
     """Per-cluster bound on how far the full objective exceeds the aggregated one.
 
+    ``clusters`` holds each cluster's row indices as an int array (any
+    sequence of ints works).
+
     For every orthonormal m-by-p X and cluster c of w_c rows with mean abar_c,
     sum_{i in c} ||a_i X||_1
         <= w_c ||abar_c X||_1 + sum_{i in c} ||(a_i - abar_c) X||_1
@@ -104,9 +107,12 @@ def spread_bound_terms(a: np.ndarray, clusters, p: int) -> np.ndarray:
 
 
 def principal_halves(
-    a: np.ndarray, cluster: tuple[int, ...]
+    a: np.ndarray, cluster: np.ndarray
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a cluster by the sign of its centred rows' top principal projection.
+
+    ``cluster`` holds the ascending row indices as an int array (any
+    sequence of ints works); each half comes back as an ascending tuple.
 
     The top right singular vector v of the centred rows is signed so that
     its largest-magnitude entry (the first, on ties) is positive; rows with
@@ -129,11 +135,14 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
     """Globally maximize ||A X||_1 over m-by-p X with orthonormal columns.
 
     Sign matrices are scored by the nuclear norm of A^T S; ties keep the
-    earliest matrix in counter order. The winner is rounded to X through
-    the thin SVD of A^T S and the objective recomputed as ||A X||_1.
+    earliest matrix in counter order. The winner is rounded to X = U V^T,
+    the polar factor of A^T S = U Sigma V^T (thin SVD), and the objective
+    recomputed as ||A X||_1.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
+    if p > A.cols:
+        raise ValueError(f"p={p} orthonormal components need at least {p} columns")
     n = A.rows
     if n < 1:
         raise ValueError("need at least one data row")
@@ -193,12 +202,11 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
             signs[1:, 0] = _sign_block(i1, 1, n - 1)[0]
         signs[:, 1] = _sign_block(i2, 1, n)[0]
 
-    target = matmul(transpose(A), DataMatrix(signs))
-    u, _, v = thin_svd(target)
-    components = matmul(u, transpose(v))
-    objective = l1_norm(matmul(A, components))
+    u, _, vt = np.linalg.svd(a.T @ signs, full_matrices=False)
+    components = u @ vt
+    objective = float(np.abs(a @ components).sum())
     return PcaSolution(
-        components=components, objective=objective, sign_matrix=signs
+        components=DataMatrix(components), objective=objective, sign_matrix=signs
     )
 
 

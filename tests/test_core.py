@@ -477,6 +477,19 @@ class TestRunAidMaximize:
             assert all(r.upper_bound >= optimum - 1e-9 for r in report.iterations)
             validate_report(report, tol=0.0)
 
+    def test_loop_reads_clusters_as_arrays(self, rng, monkeypatch):
+        # bound terms, refinement and disagreement splits all work on the
+        # label arrays; the tuple-of-tuples view is never built
+        def no_tuple_view(self):
+            raise AssertionError("the maximize loop built the clusters tuple view")
+
+        monkeypatch.setattr(ClusterPartition, "clusters", property(no_tuple_view))
+        a = DataMatrix(rng.standard_normal((8, 3)))
+        prob = PcaProjectionProblem(3, 2)
+        part = ClusterPartition.from_labels([0, 1] * 4)
+        report = run_aid(prob.zero_target(8), a, prob, part, AidConfig(tol=0.0))
+        assert report.total_iterations > 1 and report.certified_optimal
+
     def test_duplicate_rows_end_certified(self, rng):
         rows = rng.standard_normal((4, 3))
         a = DataMatrix(np.repeat(rows, 3, axis=0))

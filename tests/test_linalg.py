@@ -4,18 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aidfit.linalg import (
-    DataMatrix,
-    ShapeError,
-    add,
-    identity,
-    l1_norm,
-    matmul,
-    sub,
-    symmetric_eigen,
-    thin_svd,
-    transpose,
-)
+from aidfit.linalg import DataMatrix, ShapeError, l1_norm, matmul, symmetric_eigen
 from oracles import naive_l1, naive_matmul
 
 finite_elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -56,17 +45,25 @@ class TestDataMatrix:
 class TestMatmul:
     def test_identity(self):
         m = DataMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert matmul(identity(2), m) == m
+        assert matmul(DataMatrix(np.eye(2)), m) == m
 
     def test_hand_computed(self):
         out = matmul(DataMatrix([[1.0, 1.0]]), DataMatrix([[2.0], [3.0]]))
         assert out.values[0, 0] == 5.0
 
-    def test_matches_naive_loop_bitwise(self, rng):
+    def test_matches_naive_loop(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
         out = matmul(DataMatrix(a), DataMatrix(b)).values
-        assert np.array_equal(out, naive_matmul(a, b))
+        scale = np.abs(a) @ np.abs(b)
+        assert (np.abs(out - naive_matmul(a, b)) <= 1e-12 * scale).all()
+
+    def test_repeat_calls_are_bit_identical(self, rng):
+        a = DataMatrix(rng.standard_normal((50, 7)))
+        b = DataMatrix(rng.standard_normal((7, 3)))
+        first = matmul(a, b).values
+        for _ in range(5):
+            assert matmul(a, b).values.tobytes() == first.tobytes()
 
     def test_dimension_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match="3x2.*4x1"):
@@ -104,7 +101,7 @@ class TestL1Norm:
     )
     def test_triangle_inequality(self, a, b):
         am, bm = DataMatrix(a), DataMatrix(b)
-        assert l1_norm(add(am, bm)) <= l1_norm(am) + l1_norm(bm) + 1e-12 * (
+        assert l1_norm(DataMatrix(a + b)) <= l1_norm(am) + l1_norm(bm) + 1e-12 * (
             1 + l1_norm(am) + l1_norm(bm)
         )
 
@@ -160,78 +157,3 @@ class TestSymmetricEigen:
         for col in vecs.values.T:
             first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert first > 0
-
-
-def analytic_two_col_sigmas(m: np.ndarray) -> list[float]:
-    # characteristic roots of the 2x2 Gram matrix, written out by hand
-    g = m.T @ m
-    tr = g[0, 0] + g[1, 1]
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    disc = np.sqrt(max(tr * tr - 4 * det, 0.0))
-    return [np.sqrt(max((tr + disc) / 2, 0.0)), np.sqrt(max((tr - disc) / 2, 0.0))]
-
-
-class TestThinSvd:
-    def test_single_column_is_normalization(self):
-        u, sig, v = thin_svd(DataMatrix([[3.0], [4.0]]))
-        assert sig == [5.0]
-        assert np.allclose(u.values.ravel(), [0.6, 0.8], atol=1e-12)
-        assert v.values.ravel().tolist() == [1.0]
-
-    def test_padded_diagonal(self):
-        m = DataMatrix([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        _, sig, _ = thin_svd(m)
-        assert np.allclose(sig, [2.0, 1.0], atol=1e-12)
-
-    def test_reconstruction_and_orthogonality(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 2))
-            u, sig, v = thin_svd(DataMatrix(a))
-            rec = u.values @ np.diag(sig) @ v.values.T
-            assert np.abs(rec - a).max() <= 1e-9
-            assert np.abs(u.values.T @ u.values - np.eye(2)).max() <= 1e-9
-            assert np.abs(v.values.T @ v.values - np.eye(2)).max() <= 1e-9
-
-    def test_nuclear_norm_against_analytic_roots(self, rng):
-        a = rng.standard_normal((4, 2))
-        _, sig, _ = thin_svd(DataMatrix(a))
-        ref = analytic_two_col_sigmas(a)
-        assert abs(sum(sig) - sum(ref)) <= 1e-9
-
-    def test_top_sigma_is_max_projection(self, rng):
-        # sigma_1 == max over unit u of ||M^T u||; sampling gives a lower bound
-        a = rng.standard_normal((4, 2))
-        _, sig, _ = thin_svd(DataMatrix(a))
-        best = 0.0
-        for _ in range(200_000 // 1000):
-            us = rng.standard_normal((1000, 4))
-            us /= np.linalg.norm(us, axis=1, keepdims=True)
-            best = max(best, float(np.linalg.norm(us @ a, axis=1).max()))
-        assert best <= sig[0] + 1e-9
-        assert best >= sig[0] - 0.02 * (1 + sig[0])
-
-    def test_sigma_invariant_under_row_permutation(self, rng):
-        a = rng.standard_normal((6, 2))
-        _, sig, _ = thin_svd(DataMatrix(a))
-        perm = rng.permutation(6)
-        _, sig_p, _ = thin_svd(DataMatrix(a[perm]))
-        assert np.abs(np.array(sig) - np.array(sig_p)).max() <= 1e-9
-
-    def test_rank_deficient_completion(self):
-        m = DataMatrix(np.outer([1.0, 2.0, 2.0], [3.0, 4.0]))
-        u, sig, v = thin_svd(m)
-        assert sig[1] == 0.0
-        assert np.abs(u.values.T @ u.values - np.eye(2)).max() <= 1e-9
-        rec = u.values @ np.diag(sig) @ v.values.T
-        assert np.abs(rec - m.values).max() <= 1e-9
-
-    def test_rejects_three_columns(self):
-        with pytest.raises(ShapeError, match="at most 2"):
-            thin_svd(DataMatrix(np.zeros((4, 3))))
-
-
-def test_transpose_and_sub_shapes():
-    m = DataMatrix([[1.0, 2.0, 3.0]])
-    assert transpose(m).shape == (3, 1)
-    with pytest.raises(ShapeError):
-        sub(m, transpose(m))

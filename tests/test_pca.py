@@ -74,6 +74,26 @@ class TestExactSolver:
         assert np.abs(x.T @ x - np.eye(2)).max() <= 1e-9
         assert sol.objective == pytest.approx(float(np.abs(a @ x).sum()), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[3.0, 4.0, 0.0]]),
+            np.array([[1.0, -2.0]]),
+            np.outer([1.0, 2.0, -2.0, 0.5], [3.0, 4.0, 1.0]),
+            np.outer([1.0, -1.0, 3.0], [0.0, 2.0]),
+        ],
+        ids=["one-row", "one-row-m2", "collinear-rows", "collinear-rows-m2"],
+    )
+    def test_rank_one_p2_orthonormal_and_optimal(self, a):
+        # A^T S has rank one for every sign matrix, so the rounding must
+        # complete the second component itself
+        sol = solve_l1pca_exact(DataMatrix(a), p=2)
+        x = sol.components.values
+        assert x.shape == (a.shape[1], 2)
+        assert np.abs(x.T @ x - np.eye(2)).max() <= 1e-12
+        assert sol.objective == pytest.approx(l1pca_enumeration_oracle(a, 2), abs=1e-9)
+        assert sol.objective == pytest.approx(float(np.abs(a @ x).sum()), abs=1e-12)
+
     def test_first_sign_fixed(self, rng):
         a = rng.standard_normal((6, 3))
         sol = solve_l1pca_exact(DataMatrix(a), p=2)
@@ -85,6 +105,8 @@ class TestExactSolver:
             solve_l1pca_exact(a, p=2, cap=2**20)
         with pytest.raises(ValueError):
             solve_l1pca_exact(a, p=3)
+        with pytest.raises(ValueError, match="at least 2 columns"):
+            solve_l1pca_exact(DataMatrix([[1.0], [2.0]]), p=2)
 
     def test_tie_break_keeps_earliest_counter_state(self, rng):
         # a zero data row makes every sign choice for that row score equally;
