@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ def main() -> None:
     all_rows = []
     print(f"{'n':>6} {'med r_agg':>10} {'med T':>6} {'med time(s)':>12} {'med delta':>10}")
     for n in args.sizes:
-        t0 = time.time()
         rows, _ = run_benchmark(
             "subset",
             {"n": [n], "m": [args.m], "p": [args.p]},
@@ -47,7 +45,6 @@ def main() -> None:
         delta = float(np.median(deltas)) if deltas else float("nan")
         print(f"{n:>6} {r_agg:>10.4f} {iters:>6.0f} {wall:>12.2f} {delta:>10.2e}")
         all_rows.extend(rows)
-        _ = time.time() - t0
     args.out.write_text(json.dumps(all_rows, indent=2, sort_keys=True) + "\n")
     print(f"rows written to {args.out}")
 

@@ -23,13 +23,12 @@ from .core import (
     residual_signs,
     run_aid,
 )
-from .linalg import DataMatrix, l1_norm, matmul, symmetric_eigen
+from .linalg import DataMatrix, matmul, symmetric_eigen
 
 __all__ = [
     "__version__",
     "DataMatrix",
     "matmul",
-    "l1_norm",
     "symmetric_eigen",
     "ClusterPartition",
     "AggregatedInstance",

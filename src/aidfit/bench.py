@@ -162,10 +162,6 @@ class RunSettings:
         )
 
 
-def _singleton_aggregate(b: DataMatrix, a: DataMatrix) -> AggregatedInstance:
-    return AggregatedInstance(B_agg=b, A_agg=a, weights=tuple([1] * a.rows))
-
-
 def build_problem(settings: RunSettings, m: int):
     pid = settings.problem
     if pid == "lad":
@@ -222,7 +218,7 @@ def solution_payload(problem: str, solution) -> dict:
         }
     if problem == "l1pca":
         return {
-            "components": [[float(v) for v in row] for row in solution.components.values],
+            "components": [[float(v) for v in row] for row in solution.components],
             "sign_matrix": [[int(v) for v in row] for row in solution.sign_matrix],
         }
     raise ValueError(f"no solution payload for problem {problem!r}")
@@ -231,20 +227,18 @@ def solution_payload(problem: str, solution) -> dict:
 def direct_solve(settings: RunSettings, b: DataMatrix | None, a: DataMatrix):
     """Full-data exact solve with the same solver family the loop uses."""
     pid = settings.problem
-    if pid == "lad":
-        return solve_weighted_lad(_singleton_aggregate(b, a))
-    if pid == "subset":
-        return solve_subset_selection(
-            _singleton_aggregate(b, a), settings.p, cap=settings.subset_cap
-        )
-    if pid == "sphere":
-        return solve_sphere_lad(
-            _singleton_aggregate(b, a), settings.radius, tol=settings.sphere_tol
-        )
     if pid == "l1pca":
         return solve_l1pca_exact(a, settings.p, cap=settings.pca_cap)
     if pid == "hyperplane":
         return solve_best_fit_hyperplane(a)
+    # every row is a cluster of weight one
+    agg = AggregatedInstance(b.values, a.values, np.ones(a.rows, dtype=np.int64))
+    if pid == "lad":
+        return solve_weighted_lad(agg)
+    if pid == "subset":
+        return solve_subset_selection(agg, settings.p, cap=settings.subset_cap)
+    if pid == "sphere":
+        return solve_sphere_lad(agg, settings.radius, tol=settings.sphere_tol)
     raise ValueError(f"unknown problem id {pid!r}")
 
 

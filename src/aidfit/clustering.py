@@ -14,9 +14,9 @@ from typing import Literal
 
 import numpy as np
 
-from .core import AggregatedInstance, ClusterPartition
+from .core import ClusterPartition
 from .linalg import DataMatrix, symmetric_eigen
-from .problems.lad import solve_weighted_lad
+from .problems.lad import solve_weighted_lad  # noqa: F401 - perfbench/spans.py traces this binding
 
 __all__ = [
     "InitialClusterConfig",
@@ -27,8 +27,6 @@ __all__ = [
     "kmeans_one_pass",
     "build_initial_partition",
 ]
-
-LARGE_FIT_THRESHOLD = 800
 
 
 @dataclass(frozen=True)
@@ -62,22 +60,13 @@ def random_column_subsets(
 
 
 def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray, seed: int) -> np.ndarray:
-    """Exact LAD fit; large row counts go through the aggregation driver."""
-    n = features.shape[0]
-    if n <= LARGE_FIT_THRESHOLD:
-        agg = AggregatedInstance(
-            B_agg=DataMatrix(targets.reshape(-1, 1)),
-            A_agg=DataMatrix(features),
-            weights=tuple([1] * n),
-        )
-        return solve_weighted_lad(agg).coefficients
-
+    """Exact LAD fit through the aggregation driver."""
     from .core import AidConfig, run_aid
     from .problems.definitions import LadRegressionProblem
 
     raw = np.hstack([features, targets.reshape(-1, 1)])
     initial = kmeans_one_pass(
-        DataMatrix(raw), default_initial_cluster_count(n), seed=seed
+        DataMatrix(raw), default_initial_cluster_count(features.shape[0]), seed=seed
     )
     report = run_aid(
         DataMatrix(targets.reshape(-1, 1)),
@@ -118,8 +107,8 @@ def pca_projection_features(A: DataMatrix, p: int) -> DataMatrix:
     if p > A.cols:
         raise ValueError(f"p={p} exceeds the {A.cols} available columns")
     a = A.values
-    _, eigvecs = symmetric_eigen(DataMatrix(a.T @ a))
-    return DataMatrix(a @ eigvecs.values[:, :p])
+    _, eigvecs = symmetric_eigen(a.T @ a)
+    return DataMatrix(a @ eigvecs[:, :p])
 
 
 def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition:

@@ -12,8 +12,12 @@ it into a sound upper bound, and after agreement the loop keeps splitting
 until that bound meets the incumbent, the partition holds only identical
 rows, or the next exact solve would exceed the enumeration budget.
 
-Inside the loop a partition is a label vector and a sign pattern an integer
-code, so each iteration's pass over the full data is a few array operations.
+Data enters ``run_aid`` as validated ``DataMatrix`` objects; the loop reads
+their arrays once and everything it calls per iteration takes and returns
+plain ndarrays. Inside the loop a partition is a label vector and a sign
+pattern an integer code, so each iteration's pass over the full data is a
+few array operations: one evaluation of the fit and one subtraction B - F,
+whose residual gives both the objective and the sign check.
 """
 
 from __future__ import annotations
@@ -221,28 +225,28 @@ class ClusterPartition:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregatedInstance:
-    """Per-cluster mean rows of the target and feature data plus cluster sizes."""
+    """Per-cluster mean rows of the target and feature data plus cluster sizes.
 
-    B_agg: DataMatrix
-    A_agg: DataMatrix
-    weights: tuple[int, ...]
+    ``B_agg`` is a (k, q) and ``A_agg`` a (k, m) float array; ``weights`` is
+    the (k,) int array of cluster sizes. Instances compare by identity.
+    """
+
+    B_agg: np.ndarray
+    A_agg: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        k = len(self.weights)
-        if self.B_agg.rows != k or self.A_agg.rows != k:
+        k = self.weights.shape[0]
+        if self.B_agg.shape[0] != k or self.A_agg.shape[0] != k:
             raise PartitionError("aggregated row counts disagree with weights")
-        if any(w <= 0 for w in self.weights):
+        if (self.weights <= 0).any():
             raise PartitionError("cluster weights must be positive")
 
     @property
     def cluster_count(self) -> int:
-        return len(self.weights)
-
-    @property
-    def total_weight(self) -> int:
-        return int(sum(self.weights))
+        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,6 @@ class SolverConfig:
     """Numeric knobs for the exact aggregated-problem solvers."""
 
     sphere_tol: float = 1e-7
-    sphere_max_iters: int = 200_000
     subset_cap: int = 10**6
     pca_cap: int = 2**26
 
@@ -258,7 +261,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class AidConfig:
     tol: float = 0.0
-    eps_sign: float = DEFAULT_EPS_SIGN
     max_iters: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
 
@@ -268,7 +270,8 @@ class ProblemDefinition(abc.ABC):
 
     ``apply_f`` must commute with row averaging: f(X, W A) == W f(X, A) for
     every averaging matrix W. That property is what makes per-cluster means
-    a faithful stand-in for their rows.
+    a faithful stand-in for their rows. The engine passes every method plain
+    arrays, already validated where the data entered.
     """
 
     sense: Literal["minimize", "maximize"] = "minimize"
@@ -278,14 +281,10 @@ class ProblemDefinition(abc.ABC):
     def q(self) -> int:
         """Number of target columns."""
 
-    @property
     @abc.abstractmethod
-    def m(self) -> int:
-        """Number of feature columns."""
-
-    @abc.abstractmethod
-    def apply_f(self, solution, A: DataMatrix) -> DataMatrix:
-        """Evaluate the fitted mapping at ``solution`` on feature rows ``A``."""
+    def apply_f(self, solution, a: np.ndarray) -> np.ndarray:
+        """Evaluate the fitted mapping at ``solution`` on the (n, m) feature
+        rows ``a``; returns the (n, q) fit."""
 
     @abc.abstractmethod
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig):
@@ -298,13 +297,13 @@ class ProblemDefinition(abc.ABC):
     # Maximize-sense problems also implement the three methods below; the
     # engine never calls them for minimize-sense ones.
 
-    def bound_terms(self, A: DataMatrix, partition: ClusterPartition) -> np.ndarray:
+    def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:
         """Per-cluster terms whose sum, added to the aggregated optimum,
         bounds the full optimum from above; zero for clusters of identical rows."""
         raise NotImplementedError(f"{type(self).__name__} has no upper bound")
 
     def split_cluster(
-        self, A: DataMatrix, cluster: np.ndarray
+        self, a: np.ndarray, cluster: np.ndarray
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Split a cluster, given as ascending row indices, with a positive
         bound term into two nonempty halves."""
@@ -396,52 +395,57 @@ class AidReport:
 
 
 def aggregate(
-    B: DataMatrix,
-    A: DataMatrix,
+    b: np.ndarray,
+    a: np.ndarray,
     partition: ClusterPartition,
     previous: AggregatedInstance | None = None,
 ) -> AggregatedInstance:
-    """Collapse every cluster to the entrywise mean of its rows.
+    """Collapse every cluster of the (n, q) and (n, m) arrays to the mean of its rows.
 
     A cluster's mean is the sum of its rows, in ascending row order, divided
     by its size. ``previous``, the aggregate of the partition that
     ``partition`` was split from, supplies the means of the clusters that
     the split kept (``partition.origin``), so only new clusters are summed.
     """
-    if B.rows != partition.n or A.rows != partition.n:
+    if b.shape[0] != partition.n or a.shape[0] != partition.n:
         raise PartitionError(
-            f"row counts {B.rows}/{A.rows} do not match partition over {partition.n} rows"
+            f"row counts {b.shape[0]}/{a.shape[0]} do not match partition over "
+            f"{partition.n} rows"
         )
     k = partition.cluster_count
-    b_out = np.empty((k, B.cols))
-    a_out = np.empty((k, A.cols))
+    b_out = np.empty((k, b.shape[1]))
+    a_out = np.empty((k, a.shape[1]))
     fresh = range(k)
     if previous is not None and partition.origin is not None:
         kept = partition.origin >= 0
-        b_out[kept] = previous.B_agg.values[partition.origin[kept]]
-        a_out[kept] = previous.A_agg.values[partition.origin[kept]]
+        b_out[kept] = previous.B_agg[partition.origin[kept]]
+        a_out[kept] = previous.A_agg[partition.origin[kept]]
         fresh = np.flatnonzero(~kept).tolist()
-    b_vals = B.values
-    a_vals = A.values
     for c in fresh:
         rows = partition.rows(c)
-        b_out[c, :] = b_vals[rows, :].sum(axis=0) / rows.size
-        a_out[c, :] = a_vals[rows, :].sum(axis=0) / rows.size
-    return AggregatedInstance(
-        B_agg=DataMatrix(b_out), A_agg=DataMatrix(a_out), weights=tuple(partition.sizes.tolist())
-    )
+        b_out[c, :] = b[rows, :].sum(axis=0) / rows.size
+        a_out[c, :] = a[rows, :].sum(axis=0) / rows.size
+    return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
 
 
-def residual_signs(B: DataMatrix, F: DataMatrix, eps_sign: float = DEFAULT_EPS_SIGN) -> np.ndarray:
-    """Sign pattern of B - F as an (n, q) int8 array of +1/-1, one row per data row.
+def _residual(b: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """B - F, refusing a fit whose shape differs from the target's (which
+    numpy would otherwise broadcast)."""
+    if fitted.shape != b.shape:
+        raise PartitionError(f"fit has shape {fitted.shape}, target has {b.shape}")
+    return b - fitted
+
+
+def residual_signs(residual: np.ndarray, eps_sign: float = DEFAULT_EPS_SIGN) -> np.ndarray:
+    """Sign pattern of an (n, q) residual B - F as an (n, q) int8 array of +1/-1.
 
     Residuals in the zero band [-eps_sign, inf) count as +1.
     """
-    if B.shape != F.shape:
-        raise PartitionError(f"shape mismatch: {B.shape} vs {F.shape}")
+    if residual.ndim != 2:
+        raise PartitionError(f"residual must be (n, q), got shape {residual.shape}")
     if eps_sign < 0:
         raise ValueError("eps_sign must be nonnegative")
-    return np.where(B.values - F.values >= -eps_sign, np.int8(1), np.int8(-1))
+    return np.where(residual >= -eps_sign, np.int8(1), np.int8(-1))
 
 
 def sign_codes(signs) -> np.ndarray:
@@ -457,25 +461,25 @@ def sign_codes(signs) -> np.ndarray:
 
 
 def check_optimality(
-    B: DataMatrix,
-    A: DataMatrix,
+    b: np.ndarray,
+    a: np.ndarray,
     problem: ProblemDefinition,
     solution,
     partition: ClusterPartition,
     eps_sign: float = DEFAULT_EPS_SIGN,
-    fitted: DataMatrix | None = None,
+    residual: np.ndarray | None = None,
 ) -> tuple[bool, list[int], np.ndarray]:
     """Test whether every cluster's rows share one residual sign pattern.
 
-    ``fitted`` is ``problem.apply_f(solution, A)`` when the caller already
-    has it; otherwise it is evaluated here. Returns the verdict, the indices
-    of clusters with two or more distinct patterns, and the (n, q) int8
-    sign array from ``residual_signs``. A cluster disagrees exactly when the
-    smallest and largest ``sign_codes`` of its rows differ.
+    ``residual`` is ``b - problem.apply_f(solution, a)`` when the caller
+    already has it; otherwise it is evaluated here. Returns the verdict, the
+    indices of clusters with two or more distinct patterns, and the (n, q)
+    int8 sign array from ``residual_signs``. A cluster disagrees exactly
+    when the smallest and largest ``sign_codes`` of its rows differ.
     """
-    if fitted is None:
-        fitted = problem.apply_f(solution, A)
-    signs = residual_signs(B, fitted, eps_sign)
+    if residual is None:
+        residual = _residual(b, problem.apply_f(solution, a))
+    signs = residual_signs(residual, eps_sign)
     codes = sign_codes(signs)[partition.order]
     low = np.minimum.reduceat(codes, partition.starts)
     high = np.maximum.reduceat(codes, partition.starts)
@@ -518,7 +522,7 @@ def decluster(
 
 
 def refine(
-    A: DataMatrix, problem: ProblemDefinition, partition: ClusterPartition, terms
+    a: np.ndarray, problem: ProblemDefinition, partition: ClusterPartition, terms
 ) -> ClusterPartition:
     """Split every cluster with a positive bound term in two, in place.
 
@@ -528,7 +532,7 @@ def refine(
     split = np.asarray(terms) > 0.0
     second = np.zeros(partition.n, dtype=bool)
     for c in np.flatnonzero(split).tolist():
-        _, rest = problem.split_cluster(A, partition.rows(c))
+        _, rest = problem.split_cluster(a, partition.rows(c))
         second[list(rest)] = True
     return partition._split(split, second)
 
@@ -583,8 +587,9 @@ def run_aid(
       partition, from either split below, would exceed the problem's solve
       budget; the incumbent and its sound gap are kept.
 
-    Each iteration evaluates the fit on the full data once; that one
-    evaluation gives both the objective and the sign check. Disagreeing
+    ``B`` and ``A`` are read as arrays once. Each iteration evaluates the
+    fit on the full data once and forms the residual B - F once; that one
+    residual gives both the objective and the sign check. Disagreeing
     clusters are split by ``decluster``. When a maximize-sense run's
     clusters agree but its gap exceeds ``tol``, ``refine`` splits every
     cluster with a positive upper-bound term. Raises ``IterationLimitError``
@@ -600,6 +605,7 @@ def run_aid(
     if config.tol < 0:
         raise ValueError("tol must be nonnegative")
 
+    b, a = B.values, A.values
     n = initial.n
     max_iters = config.max_iters if config.max_iters is not None else n
     if max_iters < 1:
@@ -617,17 +623,17 @@ def run_aid(
 
     agg = None
     for t in range(1, max_iters + 1):
-        agg = aggregate(B, A, partition, previous=agg)
+        agg = aggregate(b, a, partition, previous=agg)
         solution = problem.solve_weighted(agg, config.solver)
         bound = float(solution.objective)
-        fitted = problem.apply_f(solution, A)
-        objective = float(np.abs(B.values - fitted.values).sum())
+        residual = _residual(b, problem.apply_f(solution, a))
+        objective = float(np.abs(residual).sum())
         if flip * objective < best_internal:
             best_internal = flip * objective
             best_objective = objective
             best_solution = solution
         if maximize:
-            terms = problem.bound_terms(A, partition)
+            terms = problem.bound_terms(a, partition)
             upper = min(upper, bound + float(terms.sum()))
         gap = optimality_gap(best_objective, bound, upper)
         records.append(
@@ -642,7 +648,7 @@ def run_aid(
             )
         )
         satisfied, violating, signs = check_optimality(
-            B, A, problem, solution, partition, config.eps_sign, fitted=fitted
+            b, a, problem, solution, partition, residual=residual
         )
         if satisfied and partition.cluster_count == n:
             termination = "fully_disaggregated"
@@ -665,7 +671,7 @@ def run_aid(
             termination = "enumeration_budget"
             break
         if satisfied:
-            partition = refine(A, problem, partition, terms)
+            partition = refine(a, problem, partition, terms)
         else:
             partition = decluster(partition, signs, violating)
 

@@ -1,5 +1,9 @@
-"""Validated dense matrices at the API edge, plus the few kernels built on them.
+"""The validated matrix type data enters by, plus two array kernels.
 
+``DataMatrix`` checks shape and finiteness once, where data enters the
+library (loading, generation, ``run_aid`` and the public builders). Below
+that edge everything is a plain float64 ndarray: ``matmul`` and
+``symmetric_eigen`` take and return arrays and check only shapes.
 Products and eigendecompositions go to numpy's BLAS/LAPACK kernels.
 Results are byte-identical across repeat runs on one host at a fixed BLAS
 thread count; another host or thread count may move them by rounding.
@@ -15,7 +19,6 @@ __all__ = [
     "DataMatrix",
     "ShapeError",
     "matmul",
-    "l1_norm",
     "symmetric_eigen",
 ]
 
@@ -77,18 +80,12 @@ class DataMatrix:
         return f"DataMatrix({self.rows}x{self.cols})"
 
 
-def matmul(lhs: DataMatrix, rhs: DataMatrix) -> DataMatrix:
-    """Matrix product of two validated matrices."""
-    if lhs.cols != rhs.rows:
-        raise ShapeError(
-            f"cannot multiply {lhs.rows}x{lhs.cols} by {rhs.rows}x{rhs.cols}"
-        )
-    return DataMatrix(lhs.values @ rhs.values)
-
-
-def l1_norm(m: DataMatrix) -> float:
-    """Entrywise sum of absolute values."""
-    return float(np.abs(m.values).sum())
+def matmul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Matrix product of two 2-D arrays."""
+    if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[1] != rhs.shape[0]:
+        left, right = ("x".join(map(str, m.shape)) for m in (lhs, rhs))
+        raise ShapeError(f"cannot multiply {left} by {right}")
+    return lhs @ rhs
 
 
 def _first_nonzero_sign_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -102,19 +99,17 @@ def _first_nonzero_sign_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarr
     return out
 
 
-def symmetric_eigen(s: DataMatrix) -> tuple[list[float], DataMatrix]:
-    """Eigendecomposition of a symmetric matrix.
+def symmetric_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric 2-D array.
 
     Returns eigenvalues sorted descending and the matching orthonormal
     eigenvector columns, each signed so its first entry above 1e-12 in
     magnitude is positive.
     """
-    if s.rows != s.cols:
-        raise ShapeError(f"matrix must be square, got {s.rows}x{s.cols}")
-    a = s.values
-    if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ShapeError(f"matrix must be square, got shape {s.shape}")
+    if s.size and np.abs(s - s.T).max() > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-10")
-    eigenvalues, vectors = np.linalg.eigh(a)
+    eigenvalues, vectors = np.linalg.eigh(s)
     order = np.argsort(-eigenvalues, kind="stable")
-    vectors = _first_nonzero_sign_fix(vectors[:, order])
-    return eigenvalues[order].tolist(), DataMatrix(vectors)
+    return eigenvalues[order], _first_nonzero_sign_fix(vectors[:, order])

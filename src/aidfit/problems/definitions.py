@@ -32,9 +32,12 @@ __all__ = [
 class _LinearMapMixin:
     """Shared f(X, A) = A X evaluation for coefficient-vector solutions."""
 
-    def apply_f(self, solution, A: DataMatrix) -> DataMatrix:
+    q = 1
+
+    def apply_f(self, solution, a: np.ndarray) -> np.ndarray:
+        """The (n, 1) fit of the (n, m) rows ``a``."""
         coeffs = np.asarray(solution.coefficients, dtype=float).reshape(-1, 1)
-        return matmul(A, DataMatrix(coeffs))
+        return matmul(a, coeffs)
 
 
 class LadRegressionProblem(_LinearMapMixin, ProblemDefinition):
@@ -43,15 +46,7 @@ class LadRegressionProblem(_LinearMapMixin, ProblemDefinition):
     sense = "minimize"
 
     def __init__(self, m: int):
-        self._m = m
-
-    @property
-    def q(self) -> int:
-        return 1
-
-    @property
-    def m(self) -> int:
-        return self._m
+        """Every problem takes the feature count first; plain LAD needs nothing else."""
 
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> RegressionSolution:
         return solve_weighted_lad(agg)
@@ -65,16 +60,7 @@ class SubsetSelectionProblem(_LinearMapMixin, ProblemDefinition):
     def __init__(self, m: int, p: int):
         if not 1 <= p <= m:
             raise ValueError(f"p={p} out of range for m={m}")
-        self._m = m
         self.p = p
-
-    @property
-    def q(self) -> int:
-        return 1
-
-    @property
-    def m(self) -> int:
-        return self._m
 
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> SubsetSolution:
         return solve_subset_selection(agg, self.p, cap=config.subset_cap)
@@ -88,24 +74,10 @@ class SphereRegressionProblem(_LinearMapMixin, ProblemDefinition):
     def __init__(self, m: int, radius: float):
         if radius <= 0:
             raise ValueError("radius must be positive")
-        self._m = m
         self.radius = radius
 
-    @property
-    def q(self) -> int:
-        return 1
-
-    @property
-    def m(self) -> int:
-        return self._m
-
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> SphereSolution:
-        return solve_sphere_lad(
-            agg,
-            radius=self.radius,
-            tol=config.sphere_tol,
-            max_iters=config.sphere_max_iters,
-        )
+        return solve_sphere_lad(agg, radius=self.radius, tol=config.sphere_tol)
 
 
 class PcaProjectionProblem(ProblemDefinition):
@@ -116,29 +88,25 @@ class PcaProjectionProblem(ProblemDefinition):
     def __init__(self, m: int, p: int):
         if p not in (1, 2):
             raise ValueError("p must be 1 or 2")
-        self._m = m
         self.p = p
 
     @property
     def q(self) -> int:
         return self.p
 
-    @property
-    def m(self) -> int:
-        return self._m
-
-    def apply_f(self, solution: PcaSolution, A: DataMatrix) -> DataMatrix:
-        return matmul(A, solution.components)
+    def apply_f(self, solution: PcaSolution, a: np.ndarray) -> np.ndarray:
+        """The (n, p) projections of the (n, m) rows ``a``."""
+        return matmul(a, solution.components)
 
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> PcaSolution:
         return solve_weighted_l1pca(agg, self.p, cap=config.pca_cap)
 
-    def bound_terms(self, A: DataMatrix, partition: ClusterPartition) -> np.ndarray:
+    def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:
         rows = [partition.rows(c) for c in range(partition.cluster_count)]
-        return spread_bound_terms(A.values, rows, self.p)
+        return spread_bound_terms(a, rows, self.p)
 
-    def split_cluster(self, A: DataMatrix, cluster: np.ndarray):
-        return principal_halves(A.values, cluster)
+    def split_cluster(self, a: np.ndarray, cluster: np.ndarray):
+        return principal_halves(a, cluster)
 
     def fits_budget(self, cluster_count: int, config: SolverConfig) -> bool:
         return enumeration_fits(cluster_count, self.p, config.pca_cap)

@@ -73,9 +73,9 @@ def solve_best_fit_hyperplane(
     if fit_lad is None:
         def fit_lad(targets: np.ndarray, features: np.ndarray) -> np.ndarray:
             agg = AggregatedInstance(
-                B_agg=DataMatrix(targets.reshape(-1, 1)),
-                A_agg=DataMatrix(features),
-                weights=tuple([1] * len(targets)),
+                B_agg=targets.reshape(-1, 1),
+                A_agg=features,
+                weights=np.ones(len(targets), dtype=np.int64),
             )
             return solve_weighted_lad(agg).coefficients
 

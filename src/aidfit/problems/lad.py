@@ -82,12 +82,9 @@ def weighted_lad_lp(
 
 def solve_weighted_lad(agg: AggregatedInstance) -> RegressionSolution:
     """Globally optimal weighted LAD coefficients for an aggregated instance."""
-    if agg.B_agg.cols != 1:
+    if agg.B_agg.shape[1] != 1:
         raise ValueError("weighted LAD expects a single target column")
-    b = agg.B_agg.values[:, 0]
-    a = agg.A_agg.values
-    w = np.asarray(agg.weights, dtype=float)
-    x, _, objective = weighted_lad_lp(b, a, w)
+    x, _, objective = weighted_lad_lp(agg.B_agg[:, 0], agg.A_agg, agg.weights)
     return RegressionSolution(coefficients=x, objective=objective)
 
 
@@ -100,7 +97,7 @@ def solve_subset_selection(
     improvements replace the incumbent, so equal-objective ties resolve to
     the lexicographically smallest support.
     """
-    m = agg.A_agg.cols
+    m = agg.A_agg.shape[1]
     if not 1 <= p <= m:
         raise ValueError(f"subset size p={p} must be in [1, {m}]")
     n_supports = comb(m, p)
@@ -109,14 +106,13 @@ def solve_subset_selection(
             f"{n_supports} supports exceed the enumeration cap {cap}"
         )
 
-    b = agg.B_agg.values[:, 0]
-    a = agg.A_agg.values
-    w = np.asarray(agg.weights, dtype=float)
+    b = agg.B_agg[:, 0]
+    a = agg.A_agg
 
     best: SubsetSolution | None = None
     for support in combinations(range(m), p):
         cols = list(support)
-        x_sub, _, objective = weighted_lad_lp(b, a[:, cols], w)
+        x_sub, _, objective = weighted_lad_lp(b, a[:, cols], agg.weights)
         if best is None or objective < best.objective:
             x_full = np.zeros(m)
             x_full[cols] = x_sub

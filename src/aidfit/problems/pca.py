@@ -36,7 +36,7 @@ ENUM_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class PcaSolution:
-    components: DataMatrix
+    components: np.ndarray  # (m, p), orthonormal columns
     objective: float
     sign_matrix: np.ndarray
 
@@ -45,12 +45,12 @@ def weighted_to_unweighted_pca(agg: AggregatedInstance) -> DataMatrix:
     """Scale each aggregated feature row by its cluster size.
 
     Valid only for the PCA problem, where the target matrix plays no role
-    and must be zero.
+    and must be zero. Returns a ``DataMatrix`` because ``solve_l1pca_exact``,
+    the exact solver it feeds, is also the direct solver at the API edge.
     """
-    if float(np.abs(agg.B_agg.values).max(initial=0.0)) != 0.0:
+    if float(np.abs(agg.B_agg).max(initial=0.0)) != 0.0:
         raise ValueError("the PCA reduction expects a zero target matrix")
-    w = np.asarray(agg.weights, dtype=float)
-    return DataMatrix(agg.A_agg.values * w[:, None])
+    return DataMatrix(agg.A_agg * agg.weights[:, None])
 
 
 def _sign_block(start: int, count: int, bits: int) -> np.ndarray:
@@ -205,18 +205,15 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
     u, _, vt = np.linalg.svd(a.T @ signs, full_matrices=False)
     components = u @ vt
     objective = float(np.abs(a @ components).sum())
-    return PcaSolution(
-        components=DataMatrix(components), objective=objective, sign_matrix=signs
-    )
+    return PcaSolution(components=components, objective=objective, sign_matrix=signs)
 
 
 def solve_weighted_l1pca(agg: AggregatedInstance, p: int, cap: int = 2**26) -> PcaSolution:
     """Solve the cluster-weighted PCA problem through the row-scaling reduction."""
     scaled = weighted_to_unweighted_pca(agg)
     unweighted = solve_l1pca_exact(scaled, p, cap)
-    w = np.asarray(agg.weights, dtype=float)
-    fitted = agg.A_agg.values @ unweighted.components.values
-    objective = float(w @ np.abs(fitted).sum(axis=1))
+    fitted = agg.A_agg @ unweighted.components
+    objective = float(agg.weights @ np.abs(fitted).sum(axis=1))
     return PcaSolution(
         components=unweighted.components,
         objective=objective,

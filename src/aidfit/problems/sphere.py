@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import AggregatedInstance
-from ..linalg import DataMatrix, symmetric_eigen
+from ..linalg import symmetric_eigen
 from .lad import weighted_lad_lp
 
 __all__ = ["SphereSolution", "SphereNotConvergedError", "solve_sphere_lad"]
@@ -166,12 +166,12 @@ def solve_sphere_lad(
         raise ValueError("radius must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if agg.B_agg.cols != 1:
+    if agg.B_agg.shape[1] != 1:
         raise ValueError("sphere LAD expects a single target column")
 
-    b = agg.B_agg.values[:, 0]
-    a = agg.A_agg.values
-    w = np.asarray(agg.weights, dtype=float)
+    b = agg.B_agg[:, 0]
+    a = agg.A_agg
+    w = agg.weights
     n = a.shape[0]
 
     x_lp, duals_lp, obj_lp = weighted_lad_lp(b, a, w)
@@ -181,10 +181,7 @@ def solve_sphere_lad(
         gap = max(obj_lp - best_dual, 0.0)
         return SphereSolution(coefficients=x_lp, objective=obj_lp, certified_gap=gap)
 
-    gram = a.T @ a
-    eigvals_list, eigvecs_dm = symmetric_eigen(DataMatrix(gram))
-    eigvals = np.asarray(eigvals_list)
-    eigvecs = eigvecs_dm.values
+    eigvals, eigvecs = symmetric_eigen(a.T @ a)
 
     x = x_lp * np.sqrt(radius) / np.linalg.norm(x_lp)
     r = b - a @ x

@@ -7,17 +7,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from aidfit.core import AggregatedInstance
-from aidfit.linalg import DataMatrix
 
 
 def make_agg(b, a, weights=None) -> AggregatedInstance:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(a.shape[0], -1)
     if weights is None:
-        weights = [1] * a.shape[0]
-    return AggregatedInstance(
-        B_agg=DataMatrix(b), A_agg=DataMatrix(a), weights=tuple(int(w) for w in weights)
-    )
+        weights = np.ones(a.shape[0])
+    return AggregatedInstance(B_agg=b, A_agg=a, weights=np.asarray(weights, dtype=np.int64))
 
 
 @pytest.fixture

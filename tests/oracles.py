@@ -27,14 +27,6 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def naive_l1(a: np.ndarray) -> float:
-    total = 0.0
-    for row in a:
-        for v in row:
-            total += abs(v)
-    return total
-
-
 def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
     out = np.zeros((len(clusters), values.shape[1]))
     for k, cluster in enumerate(clusters):

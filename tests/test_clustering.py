@@ -10,9 +10,9 @@ from aidfit.clustering import (
     random_column_subsets,
     residual_features,
 )
-from aidfit.core import AggregatedInstance
 from aidfit.linalg import DataMatrix
 from aidfit.problems.lad import solve_weighted_lad
+from conftest import make_agg
 from oracles import nearest_center_labels
 
 
@@ -82,12 +82,7 @@ class TestResidualFeatures:
         subsets = random_column_subsets(m, p, count, seed)
         for c, subset in enumerate(subsets):
             sub = a[:, list(subset)]
-            agg = AggregatedInstance(
-                B_agg=DataMatrix(b.reshape(-1, 1)),
-                A_agg=DataMatrix(sub),
-                weights=tuple([1] * n),
-            )
-            coeffs = solve_weighted_lad(agg).coefficients
+            coeffs = solve_weighted_lad(make_agg(b, sub)).coefficients
             assert np.abs(feats.values[:, c] - (b - sub @ coeffs)).max() <= 1e-12
 
 

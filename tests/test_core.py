@@ -79,69 +79,66 @@ class TestClusterPartition:
 
 class TestAggregate:
     def test_mean_of_two_rows(self):
-        b = DataMatrix([[1.0, 3.0], [5.0, 7.0]])
-        a = DataMatrix([[0.0], [2.0]])
+        b = np.array([[1.0, 3.0], [5.0, 7.0]])
+        a = np.array([[0.0], [2.0]])
         agg = aggregate(b, a, ClusterPartition(n=2, clusters=((0, 1),)))
-        assert agg.B_agg.values.tolist() == [[3.0, 5.0]]
-        assert agg.A_agg.values.tolist() == [[1.0]]
-        assert agg.weights == (2,)
+        assert agg.B_agg.tolist() == [[3.0, 5.0]]
+        assert agg.A_agg.tolist() == [[1.0]]
+        assert np.array_equal(agg.weights, [2])
 
     def test_singleton_partition_is_identity(self, rng):
-        b = DataMatrix(rng.standard_normal((5, 2)))
-        a = DataMatrix(rng.standard_normal((5, 3)))
+        b = rng.standard_normal((5, 2))
+        a = rng.standard_normal((5, 3))
         agg = aggregate(b, a, ClusterPartition.singletons(5))
-        assert agg.B_agg == b
-        assert agg.A_agg == a
-        assert agg.weights == (1,) * 5
+        assert np.array_equal(agg.B_agg, b)
+        assert np.array_equal(agg.A_agg, a)
+        assert np.array_equal(agg.weights, np.ones(5))
 
     def test_matches_mean_oracle(self, rng):
         b = rng.standard_normal((10, 3))
         a = rng.standard_normal((10, 2))
         part = random_partition(rng, 10, 3)
-        agg = aggregate(DataMatrix(b), DataMatrix(a), part)
+        agg = aggregate(b, a, part)
         ref_b = cluster_means(b, part.clusters)
         ref_a = cluster_means(a, part.clusters)
-        assert np.abs(agg.B_agg.values - ref_b).max() <= 1e-12
-        assert np.abs(agg.A_agg.values - ref_a).max() <= 1e-12
-        assert sum(agg.weights) == 10
+        assert np.abs(agg.B_agg - ref_b).max() <= 1e-12
+        assert np.abs(agg.A_agg - ref_a).max() <= 1e-12
+        assert agg.weights.sum() == 10
 
     def test_row_count_mismatch(self, rng):
-        b = DataMatrix(rng.standard_normal((4, 1)))
-        a = DataMatrix(rng.standard_normal((5, 2)))
+        b = rng.standard_normal((4, 1))
+        a = rng.standard_normal((5, 2))
         with pytest.raises(PartitionError):
             aggregate(b, a, ClusterPartition.singletons(5))
 
     def test_weights_validated(self):
         with pytest.raises(PartitionError):
             AggregatedInstance(
-                B_agg=DataMatrix([[0.0]]), A_agg=DataMatrix([[0.0]]), weights=(0,)
+                B_agg=np.zeros((1, 1)), A_agg=np.zeros((1, 1)), weights=np.zeros(1, dtype=int)
             )
 
 
 class TestResidualSigns:
     def test_direct_signs(self):
-        signs = residual_signs(
-            DataMatrix([[2.0, -3.0]]), DataMatrix([[0.0, 0.0]]), eps_sign=0.0
-        )
+        signs = residual_signs(np.array([[2.0, -3.0]]), eps_sign=0.0)
         assert signs.tolist() == [[1, -1]]
 
     def test_zero_maps_to_plus(self):
-        signs = residual_signs(DataMatrix([[0.0, 0.0]]), DataMatrix([[0.0, 0.0]]))
+        signs = residual_signs(np.array([[0.0, 0.0]]))
         assert signs.tolist() == [[1, 1]]
 
     def test_zero_band(self):
-        signs = residual_signs(
-            DataMatrix([[-1e-12, 5.0]]), DataMatrix([[0.0, 0.0]]), eps_sign=1e-9
-        )
+        signs = residual_signs(np.array([[-1e-12, 5.0]]), eps_sign=1e-9)
         assert signs.tolist() == [[1, 1]]
 
     def test_shape_mismatch(self):
+        # a residual must keep its (n, q) shape; a flat vector is refused
         with pytest.raises(PartitionError):
-            residual_signs(DataMatrix([[1.0]]), DataMatrix([[1.0, 2.0]]))
+            residual_signs(np.array([1.0, 2.0]))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            residual_signs(DataMatrix([[1.0]]), DataMatrix([[1.0]]), eps_sign=-1.0)
+            residual_signs(np.array([[1.0]]), eps_sign=-1.0)
 
 
 class TestCheckOptimality:
@@ -151,8 +148,8 @@ class TestCheckOptimality:
         prob = LadRegressionProblem(2)
         sol = type("S", (), {"coefficients": np.array([1.0, 2.0]), "objective": 6.0})()
         ok, violating, signs = check_optimality(
-            DataMatrix(b.reshape(-1, 1)),
-            DataMatrix(a),
+            b.reshape(-1, 1),
+            a,
             prob,
             sol,
             ClusterPartition(n=6, clusters=(tuple(range(6)),)),
@@ -160,8 +157,8 @@ class TestCheckOptimality:
         assert ok and violating == [] and all(s == (1,) for s in signs)
 
     def test_mixed_cluster_detected(self):
-        b = DataMatrix([[1.0], [-1.0]])
-        a = DataMatrix([[1.0], [1.0]])
+        b = np.array([[1.0], [-1.0]])
+        a = np.array([[1.0], [1.0]])
         prob = LadRegressionProblem(1)
         sol = type("S", (), {"coefficients": np.array([0.0]), "objective": 2.0})()
         ok, violating, _ = check_optimality(
@@ -176,12 +173,24 @@ class TestCheckOptimality:
         part = random_partition(rng, n, 5)
         prob = LadRegressionProblem(2)
         sol = type("S", (), {"coefficients": rng.standard_normal(2), "objective": 0.0})()
-        ok, violating, signs = check_optimality(
-            DataMatrix(b), DataMatrix(a), prob, sol, part
-        )
+        ok, violating, signs = check_optimality(b, a, prob, sol, part)
         ref = pattern_group_check(signs, part.clusters)
         assert violating == ref
         assert ok == (len(ref) == 0)
+
+    def test_given_residual_matches_evaluation(self, rng):
+        n = 30
+        a = rng.standard_normal((n, 3))
+        b = rng.standard_normal((n, 1))
+        part = random_partition(rng, n, 6)
+        prob = LadRegressionProblem(3)
+        sol = type("S", (), {"coefficients": rng.standard_normal(3), "objective": 0.0})()
+        residual = b - prob.apply_f(sol, a)
+        for eps_sign in (0.0, 1e-9, 0.5):
+            ok, violating, signs = check_optimality(b, a, prob, sol, part, eps_sign)
+            given = check_optimality(b, a, None, None, part, eps_sign, residual=residual)
+            assert given[0] == ok and given[1] == violating
+            assert np.array_equal(given[2], signs)
 
 
 class TestDecluster:
@@ -256,10 +265,10 @@ class TestArrayPath:
         labels, signs = case
         n = len(labels)
         part = ClusterPartition.from_labels(labels)
-        b = DataMatrix(np.array(signs, dtype=float))
-        a = DataMatrix(np.sin(np.arange(3.0 * n)).reshape(n, 3))
+        b = np.array(signs, dtype=float)
+        a = np.sin(np.arange(3.0 * n)).reshape(n, 3)
         ok, violating, out_signs = check_optimality(
-            b, a, None, None, part, eps_sign=0.0, fitted=DataMatrix(np.zeros(b.shape))
+            b, a, None, None, part, eps_sign=0.0, residual=b
         )
         assert out_signs.tolist() == [list(s) for s in signs]
         assert violating == pattern_group_check(signs, part.clusters)
@@ -273,9 +282,9 @@ class TestArrayPath:
         # means of the clusters a split kept are reused bit for bit
         reused = aggregate(b, a, out, previous=aggregate(b, a, part))
         fresh = aggregate(b, a, ClusterPartition(n, expected))
-        assert np.array_equal(reused.B_agg.values, fresh.B_agg.values)
-        assert np.array_equal(reused.A_agg.values, fresh.A_agg.values)
-        assert reused.weights == fresh.weights
+        assert np.array_equal(reused.B_agg, fresh.B_agg)
+        assert np.array_equal(reused.A_agg, fresh.A_agg)
+        assert np.array_equal(reused.weights, fresh.weights)
 
 
 class TestOptimalityGap:
@@ -388,6 +397,16 @@ class TestRunAid:
         with pytest.raises(PartitionError):
             run_aid(b, a, LadRegressionProblem(3), ClusterPartition.singletons(9))
 
+    def test_flat_fit_rejected_not_broadcast(self, rng):
+        # an (n,) fit against the (n, 1) target would broadcast to n x n
+        class FlatLad(LadRegressionProblem):
+            def apply_f(self, solution, a):
+                return super().apply_f(solution, a)[:, 0]
+
+        b, a = lad_instance(rng, n=10)
+        with pytest.raises(PartitionError, match="shape"):
+            run_aid(b, a, FlatLad(3), random_partition(rng, 10, 2))
+
 
 class CountingLad(LadRegressionProblem):
     """Counts full-data evaluations of the fit."""
@@ -458,7 +477,7 @@ class TestRunAidMaximize:
         assert not report.certified_optimal
         assert [count for count, _ in prob.calls] == [2]
         assert report.solution is prob.calls[-1][1]
-        ok, violating, _ = check_optimality(b, a, prob, report.solution, part)
+        ok, violating, _ = check_optimality(b.values, a.values, prob, report.solution, part)
         assert not ok and violating == [0, 1]
         assert report.iterations[-1].upper_bound >= l1pca_enumeration_oracle(a.values, 1) - 1e-9
         validate_report(report, tol=0.0)
@@ -503,7 +522,7 @@ class TestRunAidMaximize:
     def test_refine_splits_only_positive_terms(self, rng):
         a, part = two_blob_pca(rng)
         prob = PcaProjectionProblem(2, 1)
-        out = refine(a, prob, part, np.array([1.0, 0.0]))
+        out = refine(a.values, prob, part, np.array([1.0, 0.0]))
         assert out.cluster_count == 3
         assert out.iteration == part.iteration + 1
         assert out.clusters[2] == part.clusters[1]
@@ -532,24 +551,24 @@ class TestRunAidMaximize:
 class TestAveragingCommutation:
     """f(X, W A) == W f(X, A) for every problem's mapping."""
 
-    def _averaging_matrix(self, part: ClusterPartition) -> DataMatrix:
+    def _averaging_matrix(self, part: ClusterPartition) -> np.ndarray:
         w = np.zeros((part.cluster_count, part.n))
         for k, cluster in enumerate(part.clusters):
             w[k, list(cluster)] = 1.0 / len(cluster)
-        return DataMatrix(w)
+        return w
 
     @pytest.mark.parametrize("problem_name", ["lad", "subset", "sphere", "pca"])
     def test_commutes_with_averaging(self, problem_name, rng):
         n, m = 12, 3
         for _ in range(60):
-            a = DataMatrix(rng.standard_normal((n, m)))
+            a = rng.standard_normal((n, m))
             part = random_partition(rng, n, 4)
             w = self._averaging_matrix(part)
             if problem_name == "pca":
                 prob = PcaProjectionProblem(m, 2)
                 g = rng.standard_normal((m, 2))
                 q, _ = np.linalg.qr(g)
-                sol = type("S", (), {"components": DataMatrix(q)})()
+                sol = type("S", (), {"components": q})()
             else:
                 prob = {
                     "lad": LadRegressionProblem(m),
@@ -562,6 +581,6 @@ class TestAveragingCommutation:
                 if problem_name == "sphere":
                     x = x / np.linalg.norm(x) * 1.5
                 sol = type("S", (), {"coefficients": x})()
-            left = prob.apply_f(sol, matmul(w, a)).values
-            right = matmul(w, prob.apply_f(sol, a)).values
+            left = prob.apply_f(sol, matmul(w, a))
+            right = matmul(w, prob.apply_f(sol, a))
             assert np.abs(left - right).max() <= 1e-10

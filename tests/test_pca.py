@@ -33,13 +33,13 @@ class TestExactSolver:
     def test_identity_two_rows(self):
         sol = solve_l1pca_exact(DataMatrix(np.eye(2)), p=1)
         assert sol.objective == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert np.allclose(np.abs(sol.components.values.ravel()), [1 / np.sqrt(2)] * 2)
+        assert np.allclose(np.abs(sol.components.ravel()), [1 / np.sqrt(2)] * 2)
 
     def test_two_candidate_hand_case(self):
         sol = solve_l1pca_exact(DataMatrix([[2.0, 0.0], [0.0, 1.0]]), p=1)
         assert sol.objective == pytest.approx(np.sqrt(5), abs=1e-12)
         assert np.allclose(
-            np.abs(sol.components.values.ravel()), np.array([2.0, 1.0]) / np.sqrt(5)
+            np.abs(sol.components.ravel()), np.array([2.0, 1.0]) / np.sqrt(5)
         )
         assert sol.sign_matrix[0, 0] == 1.0
 
@@ -70,7 +70,7 @@ class TestExactSolver:
     def test_components_orthonormal_and_objective_recomputed(self, rng):
         a = rng.standard_normal((7, 4))
         sol = solve_l1pca_exact(DataMatrix(a), p=2)
-        x = sol.components.values
+        x = sol.components
         assert np.abs(x.T @ x - np.eye(2)).max() <= 1e-9
         assert sol.objective == pytest.approx(float(np.abs(a @ x).sum()), abs=1e-9)
 
@@ -88,7 +88,7 @@ class TestExactSolver:
         # A^T S has rank one for every sign matrix, so the rounding must
         # complete the second component itself
         sol = solve_l1pca_exact(DataMatrix(a), p=2)
-        x = sol.components.values
+        x = sol.components
         assert x.shape == (a.shape[1], 2)
         assert np.abs(x.T @ x - np.eye(2)).max() <= 1e-12
         assert sol.objective == pytest.approx(l1pca_enumeration_oracle(a, 2), abs=1e-9)
@@ -183,7 +183,7 @@ class TestWeightedSolver:
     def test_single_heavy_row(self):
         sol = solve_weighted_l1pca(pca_agg([[1.0, 0.0]], [5]), p=1)
         assert sol.objective == pytest.approx(5.0, abs=1e-12)
-        assert np.allclose(np.abs(sol.components.values.ravel()), [1.0, 0.0])
+        assert np.allclose(np.abs(sol.components.ravel()), [1.0, 0.0])
 
     def test_matches_weighted_enumeration(self, rng):
         for _ in range(30):
@@ -224,7 +224,7 @@ class TestUpperBound:
             m = int(rng.integers(2, 5))
             a = rng.standard_normal((n, m))
             part = random_clusters(rng, n, int(rng.integers(1, n + 1)))
-            agg = aggregate(DataMatrix(np.zeros((n, p))), DataMatrix(a), part)
+            agg = aggregate(np.zeros((n, p)), a, part)
             lower = solve_weighted_l1pca(agg, p).objective
             upper = lower + spread_bound_terms(a, part.clusters, p).sum()
             optimum = l1pca_enumeration_oracle(a, p)
