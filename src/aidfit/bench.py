@@ -47,10 +47,6 @@ from .problems import (
     SphereRegressionProblem,
     SubsetSelectionProblem,
     solve_best_fit_hyperplane,
-    solve_l1pca_exact,
-    solve_sphere_lad,
-    solve_subset_selection,
-    solve_weighted_lad,
 )
 
 __all__ = [
@@ -165,7 +161,7 @@ class RunSettings:
 def build_problem(settings: RunSettings, m: int):
     pid = settings.problem
     if pid == "lad":
-        return LadRegressionProblem(m)
+        return LadRegressionProblem()
     if pid == "subset":
         if settings.p is None:
             raise ValueError("subset selection needs p")
@@ -173,16 +169,17 @@ def build_problem(settings: RunSettings, m: int):
     if pid == "sphere":
         if settings.radius is None:
             raise ValueError("sphere regression needs a radius")
-        return SphereRegressionProblem(m, settings.radius)
+        return SphereRegressionProblem(settings.radius)
     if pid == "l1pca":
         if settings.p is None:
             raise ValueError("l1pca needs p")
-        return PcaProjectionProblem(m, settings.p)
+        return PcaProjectionProblem(settings.p)
     raise ValueError(f"unknown problem id {pid!r}")
 
 
 def default_feature_source(problem: str) -> str:
-    return "pca_projection" if problem == "l1pca" else "residuals"
+    # hyperplane has no single target to fit residuals against
+    return {"l1pca": "pca_projection", "hyperplane": "raw_data"}.get(problem, "residuals")
 
 
 def _initial_partition(
@@ -221,25 +218,24 @@ def solution_payload(problem: str, solution) -> dict:
             "components": [[float(v) for v in row] for row in solution.components],
             "sign_matrix": [[int(v) for v in row] for row in solution.sign_matrix],
         }
+    if problem == "hyperplane":
+        return {
+            "winning_column": solution.winning_column,
+            "basis": [[float(v) for v in row] for row in solution.basis.values],
+            "intercept": [float(v) for v in solution.intercept],
+        }
     raise ValueError(f"no solution payload for problem {problem!r}")
 
 
 def direct_solve(settings: RunSettings, b: DataMatrix | None, a: DataMatrix):
-    """Full-data exact solve with the same solver family the loop uses."""
-    pid = settings.problem
-    if pid == "l1pca":
-        return solve_l1pca_exact(a, settings.p, cap=settings.pca_cap)
-    if pid == "hyperplane":
-        return solve_best_fit_hyperplane(a)
-    # every row is a cluster of weight one
+    """Full-data exact solve: the loop's own solver with every row a cluster."""
+    if settings.problem == "hyperplane":
+        return solve_best_fit_hyperplane(a, ClusterPartition.singletons(a.rows))
+    problem = build_problem(settings, a.cols)
+    if settings.problem == "l1pca":
+        b = problem.zero_target(a.rows)
     agg = AggregatedInstance(b.values, a.values, np.ones(a.rows, dtype=np.int64))
-    if pid == "lad":
-        return solve_weighted_lad(agg)
-    if pid == "subset":
-        return solve_subset_selection(agg, settings.p, cap=settings.subset_cap)
-    if pid == "sphere":
-        return solve_sphere_lad(agg, settings.radius, tol=settings.sphere_tol)
-    raise ValueError(f"unknown problem id {pid!r}")
+    return problem.solve_weighted(agg, settings.solver_config())
 
 
 def _report_iterations(report: AidReport) -> list[dict]:
@@ -281,18 +277,20 @@ def run_solve(
     if settings.standardize:
         a = standardize_columns(a)
 
-    if settings.problem == "hyperplane":
-        return _run_solve_hyperplane(settings, a, instance_desc)
-
-    problem = build_problem(settings, a.cols)
-    if settings.problem == "l1pca":
-        b = problem.zero_target(a.rows)
-    if b is None:
-        raise ValueError(f"instance provides no target data for {settings.problem}")
-
     start = time.perf_counter()
-    initial = _initial_partition(settings, b if settings.problem != "l1pca" else None, a)
-    report = run_aid(b, a, problem, initial, _aid_config(settings))
+    if settings.problem == "hyperplane":
+        initial = _initial_partition(settings, None, a)
+        solution = solve_best_fit_hyperplane(a, initial, _aid_config(settings))
+        report = solution.report
+    else:
+        problem = build_problem(settings, a.cols)
+        if settings.problem == "l1pca":
+            b = problem.zero_target(a.rows)
+        if b is None:
+            raise ValueError(f"instance provides no target data for {settings.problem}")
+        initial = _initial_partition(settings, b if settings.problem != "l1pca" else None, a)
+        report = run_aid(b, a, problem, initial, _aid_config(settings))
+        solution = report.solution
     wall = time.perf_counter() - start
     validate_report(report, tol=settings.tol)
 
@@ -307,59 +305,7 @@ def run_solve(
         "aggregation_rate": report.aggregation_rate,
         "objective": report.best_objective,
         "final_gap": report.final_gap,
-        "solution": solution_payload(settings.problem, report.solution),
-    }
-    return _assemble_report(payload, wall)
-
-
-def _run_solve_hyperplane(settings: RunSettings, a: DataMatrix, instance_desc: dict) -> dict:
-    """Hyperplane fits reduce to one regression per coordinate.
-
-    Each regression runs through the aggregation loop; the report carries
-    the winning coordinate's trace alongside the reconstructed fit.
-    """
-    reports: list[AidReport] = []
-
-    def fit_with_aid(targets: np.ndarray, features: np.ndarray) -> np.ndarray:
-        b_dm = DataMatrix(targets.reshape(-1, 1))
-        f_dm = DataMatrix(features)
-        problem = LadRegressionProblem(features.shape[1])
-        sub_settings = RunSettings(
-            problem="lad",
-            tol=settings.tol,
-            seed=settings.seed,
-            k0=settings.k0,
-            feature_source=settings.feature_source or "residuals",
-            model_count=settings.model_count,
-            max_iters=settings.max_iters,
-        )
-        initial = _initial_partition(sub_settings, b_dm, f_dm)
-        report = run_aid(b_dm, f_dm, problem, initial, _aid_config(settings))
-        reports.append(report)
-        return report.solution.coefficients
-
-    start = time.perf_counter()
-    fit = solve_best_fit_hyperplane(a, fit_lad=fit_with_aid)
-    wall = time.perf_counter() - start
-    winner = reports[fit.winning_column]
-    validate_report(winner, tol=settings.tol)
-
-    payload = {
-        "problem": "hyperplane",
-        "instance": {"n": a.rows, "m": a.cols, **instance_desc},
-        "config": _config_payload(settings, a.rows),
-        "iterations": _report_iterations(winner),
-        "termination": winner.termination,
-        "converged": all(r.converged for r in reports),
-        "iterations_run": winner.total_iterations,
-        "aggregation_rate": winner.aggregation_rate,
-        "objective": fit.objective,
-        "final_gap": winner.final_gap,
-        "solution": {
-            "winning_column": fit.winning_column,
-            "basis": [[float(v) for v in row] for row in fit.basis.values],
-            "intercept": [float(v) for v in fit.intercept],
-        },
+        "solution": solution_payload(settings.problem, solution),
     }
     return _assemble_report(payload, wall)
 

@@ -71,7 +71,7 @@ def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray, seed: int) 
     report = run_aid(
         DataMatrix(targets.reshape(-1, 1)),
         DataMatrix(features),
-        LadRegressionProblem(features.shape[1]),
+        LadRegressionProblem(),
         initial,
         AidConfig(tol=0.0),
     )

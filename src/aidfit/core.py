@@ -89,8 +89,7 @@ class ClusterPartition:
     0..k-1 in cluster order; ``order`` lists the rows grouped by cluster,
     ascending within each, so cluster c is ``order[starts[c]:starts[c] +
     sizes[c]]`` (``rows(c)``). The ``clusters`` tuple of row tuples is built
-    on first use. Partitions are compared by value: row count, clusters and
-    iteration index.
+    on first use. Partitions are compared by value: row count and clusters.
 
     ``ClusterPartition(n, clusters)`` and ``from_labels`` validate their
     input; ``decluster`` and ``refine`` build their partitions from labels
@@ -98,9 +97,9 @@ class ClusterPartition:
     cluster in the partition it came from, or -1 for the halves of a split.
     """
 
-    __slots__ = ("n", "iteration", "order", "starts", "sizes", "origin", "_labels", "_clusters")
+    __slots__ = ("n", "order", "starts", "sizes", "origin", "_labels", "_clusters")
 
-    def __init__(self, n: int, clusters: Sequence[Sequence[int]], iteration: int = 1):
+    def __init__(self, n: int, clusters: Sequence[Sequence[int]]):
         clusters = tuple(tuple(int(i) for i in cluster) for cluster in clusters)
         for k, cluster in enumerate(clusters):
             if len(cluster) == 0:
@@ -117,12 +116,12 @@ class ClusterPartition:
             labels[rows] = np.repeat(np.arange(len(clusters)), sizes)
         if not inside or (labels < 0).any():
             raise PartitionError(f"clusters do not partition 0..{n - 1} exactly")
-        self._index(labels, len(clusters), iteration)
+        self._index(labels, len(clusters))
         self._clusters = clusters
 
     @classmethod
     def _indexed(
-        cls, labels: np.ndarray, count: int, iteration: int, origin=None, hint=None
+        cls, labels: np.ndarray, count: int, origin=None, hint=None
     ) -> "ClusterPartition":
         """Unchecked constructor over labels that number ``count`` nonempty clusters.
 
@@ -131,13 +130,12 @@ class ClusterPartition:
         sorting it by label is cheaper than a full sort.
         """
         out = object.__new__(cls)
-        out._index(labels, count, iteration, origin, hint)
+        out._index(labels, count, origin, hint)
         out._clusters = None
         return out
 
-    def _index(self, labels, count, iteration, origin=None, hint=None) -> None:
+    def _index(self, labels, count, origin=None, hint=None) -> None:
         self.n = int(labels.size)
-        self.iteration = iteration
         self.origin = origin
         self._labels = labels
         if hint is None:
@@ -172,27 +170,20 @@ class ClusterPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterPartition):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.iteration == other.iteration
-            and np.array_equal(self._labels, other._labels)
-        )
+        return self.n == other.n and np.array_equal(self._labels, other._labels)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.iteration, self._labels.tobytes()))
+        return hash((self.n, self._labels.tobytes()))
 
     def __repr__(self) -> str:
-        return (
-            f"ClusterPartition(n={self.n}, clusters={self.cluster_count}, "
-            f"iteration={self.iteration})"
-        )
+        return f"ClusterPartition(n={self.n}, clusters={self.cluster_count})"
 
     @staticmethod
-    def singletons(n: int, iteration: int = 1) -> "ClusterPartition":
-        return ClusterPartition._indexed(np.arange(n, dtype=np.int64), n, iteration)
+    def singletons(n: int) -> "ClusterPartition":
+        return ClusterPartition._indexed(np.arange(n, dtype=np.int64), n)
 
     @staticmethod
-    def from_labels(labels: Sequence[int], iteration: int = 1) -> "ClusterPartition":
+    def from_labels(labels: Sequence[int]) -> "ClusterPartition":
         """Build a partition from per-row cluster labels, dropping gaps.
 
         Clusters follow the ascending order of their labels.
@@ -201,9 +192,7 @@ class ClusterPartition:
         if labels.ndim != 1:
             raise PartitionError(f"labels must be one-dimensional, got ndim={labels.ndim}")
         values, compact = np.unique(labels, return_inverse=True)
-        return ClusterPartition._indexed(
-            compact.astype(np.int64, copy=False), values.size, iteration
-        )
+        return ClusterPartition._indexed(compact.astype(np.int64, copy=False), values.size)
 
     def _split(self, split: np.ndarray, second: np.ndarray) -> "ClusterPartition":
         """Split every cluster flagged in ``split`` into two adjacent clusters.
@@ -218,7 +207,7 @@ class ClusterPartition:
         origin = np.full(count, -1, dtype=np.int64)
         origin[kept + shift[kept]] = kept
         out = ClusterPartition._indexed(
-            labels + shift[labels] + second, count, self.iteration + 1, origin, self.order
+            labels + shift[labels] + second, count, origin, self.order
         )
         if (out.sizes == 0).any():
             raise PartitionError("a split left a cluster empty")
@@ -498,8 +487,7 @@ def decluster(
     cluster's mode is its most common pattern, the smallest ``sign_codes``
     value on a tie (+1 before -1, first column first). The mode rows take
     the cluster's slot and the rest follow right after it; other clusters
-    are copied unchanged and move right to make room. The iteration index
-    increments.
+    are copied unchanged and move right to make room.
     """
     k = partition.cluster_count
     index = np.asarray(violating, dtype=np.int64)
@@ -527,7 +515,7 @@ def refine(
     """Split every cluster with a positive bound term in two, in place.
 
     The halves come from ``problem.split_cluster``. Other clusters are
-    copied unchanged; the iteration index increments.
+    copied unchanged.
     """
     split = np.asarray(terms) > 0.0
     second = np.zeros(partition.n, dtype=bool)

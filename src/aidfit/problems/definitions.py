@@ -45,9 +45,6 @@ class LadRegressionProblem(_LinearMapMixin, ProblemDefinition):
 
     sense = "minimize"
 
-    def __init__(self, m: int):
-        """Every problem takes the feature count first; plain LAD needs nothing else."""
-
     def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> RegressionSolution:
         return solve_weighted_lad(agg)
 
@@ -71,7 +68,7 @@ class SphereRegressionProblem(_LinearMapMixin, ProblemDefinition):
 
     sense = "minimize"
 
-    def __init__(self, m: int, radius: float):
+    def __init__(self, radius: float):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = radius
@@ -85,7 +82,7 @@ class PcaProjectionProblem(ProblemDefinition):
 
     sense = "maximize"
 
-    def __init__(self, m: int, p: int):
+    def __init__(self, p: int):
         if p not in (1, 2):
             raise ValueError("p must be 1 or 2")
         self.p = p

@@ -1,10 +1,11 @@
 """L1-norm best-fit hyperplane by reduction to coordinate regressions.
 
-Each coordinate is regressed (with intercept) on the remaining ones; the
-coordinate with the smallest total absolute residual wins, and its graph is
-returned as the hyperplane. Points project onto the hyperplane along the
-winning coordinate, so the recomputed fit error equals that regression's
-residual sum.
+Each coordinate is regressed (with intercept) on the remaining ones through
+the aggregation loop, every regression starting from the same partition;
+the coordinate with the smallest total absolute residual wins, and its
+graph is returned as the hyperplane. Points project onto the hyperplane
+along the winning coordinate, so the recomputed fit error equals that
+regression's residual sum.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregatedInstance
+from ..core import AidConfig, AidReport, ClusterPartition, run_aid
 from ..linalg import DataMatrix
-from .lad import solve_weighted_lad
+from .definitions import LadRegressionProblem
 
 __all__ = ["HyperplaneFit", "DegenerateColumnError", "solve_best_fit_hyperplane"]
 
@@ -31,33 +32,29 @@ class HyperplaneFit:
     coordinates: DataMatrix
     objective: float
     winning_column: int
+    # the winning coordinate regression's run; objective == report.best_objective
+    report: AidReport
 
 
 def _orthonormal_graph_basis(directions: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt over the given direction columns, processed in order."""
-    m, k = directions.shape
-    out = np.zeros((m, k))
-    col = 0
-    for j in range(k):
-        v = directions[:, j].copy()
-        for i in range(col):
-            v -= np.dot(out[:, i], v) * out[:, i]
-        norm = np.linalg.norm(v)
-        if norm <= 1e-12:
-            raise ValueError("direction columns are not independent")
-        out[:, col] = v / norm
-        col += 1
-    return out
+    """Orthonormal basis of the direction columns' span, in column order.
+
+    The Q factor of their QR decomposition, with columns signed so that
+    diag(R) > 0: the basis Gram-Schmidt would build.
+    """
+    q, r = np.linalg.qr(directions)
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def solve_best_fit_hyperplane(
-    A: DataMatrix, fit_lad=None
+    A: DataMatrix, initial: ClusterPartition, config: AidConfig | None = None
 ) -> HyperplaneFit:
     """Fit the hyperplane minimizing the summed L1 distance along one coordinate.
 
-    ``fit_lad`` may replace the default exact regression routine (it must map
-    (targets, features) to a coefficient vector); the aggregation-based
-    driver can be plugged in for large row counts.
+    Coordinate j is regressed on the other columns plus an intercept by one
+    ``run_aid`` call from ``initial`` under ``config``; the first coordinate
+    with the smallest objective wins. Singleton partitions solve each
+    regression as one exact n-row problem.
     """
     n, m = A.shape
     if m < 2:
@@ -70,32 +67,18 @@ def solve_best_fit_hyperplane(
         if span == 0.0:
             raise DegenerateColumnError(f"column {j} has zero variance")
 
-    if fit_lad is None:
-        def fit_lad(targets: np.ndarray, features: np.ndarray) -> np.ndarray:
-            agg = AggregatedInstance(
-                B_agg=targets.reshape(-1, 1),
-                A_agg=features,
-                weights=np.ones(len(targets), dtype=np.int64),
-            )
-            return solve_weighted_lad(agg).coefficients
-
     best_j = -1
-    best_obj = np.inf
-    best_coeffs: np.ndarray | None = None
+    best: AidReport | None = None
     for j in range(m):
         others = [k for k in range(m) if k != j]
-        features = np.hstack([a[:, others], np.ones((n, 1))])
-        coeffs = fit_lad(a[:, j], features)
-        objective = float(np.abs(a[:, j] - features @ coeffs).sum())
-        if objective < best_obj:
-            best_j = j
-            best_obj = objective
-            best_coeffs = coeffs
+        features = DataMatrix(np.hstack([a[:, others], np.ones((n, 1))]))
+        report = run_aid(DataMatrix(a[:, [j]]), features, LadRegressionProblem(), initial, config)
+        if best is None or report.best_objective < best.best_objective:
+            best_j, best = j, report
 
-    assert best_coeffs is not None
     others = [k for k in range(m) if k != best_j]
-    slope = best_coeffs[:-1]
-    intercept_term = best_coeffs[-1]
+    slope = best.solution.coefficients[:-1]
+    intercept_term = best.solution.coefficients[-1]
 
     # hyperplane = graph of the affine map u -> (u, slope @ u + intercept)
     directions = np.zeros((m, m - 1))
@@ -115,6 +98,7 @@ def solve_best_fit_hyperplane(
         basis=DataMatrix(basis),
         intercept=beta,
         coordinates=DataMatrix(alphas),
-        objective=best_obj,
+        objective=best.best_objective,
         winning_column=best_j,
+        report=best,
     )

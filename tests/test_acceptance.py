@@ -24,6 +24,7 @@ from aidfit.clustering import (
     InitialClusterConfig,
     build_initial_partition,
     default_initial_cluster_count,
+    kmeans_one_pass,
 )
 from aidfit.core import (
     AidConfig,
@@ -84,7 +85,7 @@ def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | No
     n, m = a.rows, a.cols
     solver = SolverConfig(sphere_tol=SPHERE_TOL)
     if problem == "lad":
-        prob = LadRegressionProblem(m)
+        prob = LadRegressionProblem()
         direct = solve_weighted_lad(make_agg(b.values, a.values)).objective
         features = InitialClusterConfig(
             default_initial_cluster_count(n), "residuals", spec.seed, feature_p=m
@@ -96,7 +97,7 @@ def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | No
             default_initial_cluster_count(n), "residuals", spec.seed, feature_p=p
         )
     elif problem == "sphere":
-        prob = SphereRegressionProblem(m, radius)
+        prob = SphereRegressionProblem(radius)
         direct = solve_sphere_lad(
             make_agg(b.values, a.values), radius, tol=SPHERE_TOL
         ).objective
@@ -104,7 +105,7 @@ def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | No
             default_initial_cluster_count(n), "residuals", spec.seed, feature_p=m
         )
     else:
-        prob = PcaProjectionProblem(m, p)
+        prob = PcaProjectionProblem(p)
         b = prob.zero_target(n)
         direct = solve_l1pca_exact(a, p).objective
         features = InitialClusterConfig(
@@ -257,10 +258,10 @@ def test_c04_averaging_commutation():
     rng = np.random.default_rng(44)
     n, m = 10, 3
     problems = {
-        "lad": LadRegressionProblem(m),
+        "lad": LadRegressionProblem(),
         "subset": SubsetSelectionProblem(m, 2),
-        "sphere": SphereRegressionProblem(m, 2.0),
-        "l1pca": PcaProjectionProblem(m, 2),
+        "sphere": SphereRegressionProblem(2.0),
+        "l1pca": PcaProjectionProblem(2),
     }
     worst = 0.0
     for name, prob in problems.items():
@@ -454,12 +455,18 @@ def test_c09_solver_oracles_and_bland():
     ok = ok and worst <= 1e-9
     detail.append(f"pca {worst:.2e}")
 
+    # every coordinate regression from singletons (the direct solve) and
+    # from one raw-data k-means partition with k < n
     worst = 0.0
-    for _ in range(40):
+    for seed in range(40):
         n, m = int(rng.integers(4, 12)), int(rng.integers(2, 4))
         a = rng.standard_normal((n, m))
-        fit = solve_best_fit_hyperplane(DataMatrix(a))
-        worst = max(worst, abs(fit.objective - hyperplane_oracle(a)))
+        for initial in (
+            ClusterPartition.singletons(n),
+            kmeans_one_pass(DataMatrix(a), max(2, n // 3), seed=seed),
+        ):
+            fit = solve_best_fit_hyperplane(DataMatrix(a), initial)
+            worst = max(worst, abs(fit.objective - hyperplane_oracle(a)))
     ok = ok and worst <= 1e-9
     detail.append(f"hyperplane {worst:.2e}")
 

@@ -74,6 +74,44 @@ class TestRunSolve:
         assert payload["problem"] == "hyperplane"
         assert 0 <= payload["solution"]["winning_column"] < 3
 
+    def test_hyperplane_runs_one_aid_per_coordinate(self, monkeypatch):
+        import aidfit.bench
+        import aidfit.core
+        import aidfit.problems.hyperplane
+
+        calls = []
+        fits = []
+        real_run_aid = aidfit.core.run_aid
+        real_solve = aidfit.bench.solve_best_fit_hyperplane
+
+        def counting_run_aid(*args, **kwargs):
+            calls.append(args[0].rows)
+            return real_run_aid(*args, **kwargs)
+
+        def keeping_solve(*args, **kwargs):
+            fits.append(real_solve(*args, **kwargs))
+            return fits[-1]
+
+        for module in (aidfit.core, aidfit.bench, aidfit.problems.hyperplane):
+            monkeypatch.setattr(module, "run_aid", counting_run_aid)
+        monkeypatch.setattr(aidfit.bench, "solve_best_fit_hyperplane", keeping_solve)
+        spec = SyntheticSpec(n=60, m=4, informative_p=4, seed=3, kind="pca_sample")
+        payload = run_solve(RunSettings(problem="hyperplane", seed=3), spec)["payload"]
+
+        assert calls == [60] * 4
+        (fit,) = fits
+        assert payload["config"]["feature_source"] == "raw_data"
+        assert payload["objective"] == fit.objective == fit.report.best_objective
+        assert payload["solution"]["winning_column"] == fit.winning_column
+        assert payload["termination"] == fit.report.termination
+        assert [
+            (it["t"], it["cluster_count"], it["objective"], it["best_objective"], it["gap"])
+            for it in payload["iterations"]
+        ] == [
+            (r.t, r.cluster_count, r.objective, r.best_objective, r.gap)
+            for r in fit.report.iterations
+        ]
+
     def test_standardize_flag_changes_features(self):
         spec = tiny_spec(12, n=30)
         raw = run_solve(RunSettings(problem="lad", seed=12), spec)
@@ -213,6 +251,21 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["solve", "--problem", "nope", "--instance", "{}"])
         assert err.value.code == EXIT_INPUT_ERROR
+
+    def test_hyperplane_residual_features_is_input_error(self):
+        spec = SyntheticSpec(n=20, m=3, informative_p=3, seed=1, kind="pca_sample")
+        code = main(
+            [
+                "solve",
+                "--problem",
+                "hyperplane",
+                "--features",
+                "residuals",
+                "--instance",
+                json.dumps(spec.to_dict()),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
 
     def test_bad_instance_json_is_input_error(self):
         code = main(["solve", "--problem", "lad", "--instance", '{"nope": 1}'])

@@ -145,7 +145,7 @@ class TestCheckOptimality:
     def test_uniform_positive_residuals(self, rng):
         a = rng.standard_normal((6, 2))
         b = a @ np.array([1.0, 2.0]) + 1.0  # all residuals +1 at the true coefficients
-        prob = LadRegressionProblem(2)
+        prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": np.array([1.0, 2.0]), "objective": 6.0})()
         ok, violating, signs = check_optimality(
             b.reshape(-1, 1),
@@ -159,7 +159,7 @@ class TestCheckOptimality:
     def test_mixed_cluster_detected(self):
         b = np.array([[1.0], [-1.0]])
         a = np.array([[1.0], [1.0]])
-        prob = LadRegressionProblem(1)
+        prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": np.array([0.0]), "objective": 2.0})()
         ok, violating, _ = check_optimality(
             b, a, prob, sol, ClusterPartition(n=2, clusters=((0, 1),))
@@ -171,7 +171,7 @@ class TestCheckOptimality:
         a = rng.standard_normal((n, 2))
         b = rng.standard_normal((n, 1))
         part = random_partition(rng, n, 5)
-        prob = LadRegressionProblem(2)
+        prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": rng.standard_normal(2), "objective": 0.0})()
         ok, violating, signs = check_optimality(b, a, prob, sol, part)
         ref = pattern_group_check(signs, part.clusters)
@@ -183,7 +183,7 @@ class TestCheckOptimality:
         a = rng.standard_normal((n, 3))
         b = rng.standard_normal((n, 1))
         part = random_partition(rng, n, 6)
-        prob = LadRegressionProblem(3)
+        prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": rng.standard_normal(3), "objective": 0.0})()
         residual = b - prob.apply_f(sol, a)
         for eps_sign in (0.0, 1e-9, 0.5):
@@ -200,13 +200,13 @@ class TestDecluster:
         part = ClusterPartition(n=4, clusters=((0, 1, 2, 3),))
         out = decluster(part, signs, [0])
         assert out.clusters == ((1, 2), (0, 3))
-        assert out.iteration == part.iteration + 1
+        assert out == ClusterPartition(n=4, clusters=((1, 2), (0, 3)))
 
-    def test_no_violators_is_noop_except_iteration(self):
-        part = ClusterPartition(n=3, clusters=((0, 1), (2,)), iteration=4)
+    def test_no_violators_is_noop(self):
+        part = ClusterPartition(n=3, clusters=((0, 1), (2,)))
         out = decluster(part, [(1,), (1,), (1,)], [])
         assert out.clusters == part.clusters
-        assert out.iteration == 5
+        assert out == part and hash(out) == hash(part)
 
     def test_tie_break_exhaustive_two_pattern_ties(self):
         # every unordered pair of distinct q=2 patterns, two rows each
@@ -277,7 +277,7 @@ class TestArrayPath:
         out = decluster(part, out_signs, violating)
         expected = counter_decluster(signs, part.clusters, violating)
         assert out.clusters == expected
-        assert out == ClusterPartition(n, expected, iteration=part.iteration + 1)
+        assert out == ClusterPartition(n, expected)
 
         # means of the clusters a split kept are reused bit for bit
         reused = aggregate(b, a, out, previous=aggregate(b, a, part))
@@ -322,7 +322,7 @@ def lad_instance(rng, n=40, m=3):
 class TestRunAid:
     def test_singleton_initial_terminates_immediately(self, rng):
         b, a = lad_instance(rng, n=25)
-        prob = LadRegressionProblem(3)
+        prob = LadRegressionProblem()
         report = run_aid(b, a, prob, ClusterPartition.singletons(25), AidConfig(tol=0.0))
         assert report.total_iterations == 1
         assert report.termination == "fully_disaggregated"
@@ -334,7 +334,7 @@ class TestRunAid:
         n = 30
         a = rng.standard_normal((n, 3))
         b = a @ np.array([3.0, -2.0, 5.0]) + rng.standard_normal(n)
-        prob = LadRegressionProblem(3)
+        prob = LadRegressionProblem()
         part = ClusterPartition.from_labels([i % 3 for i in range(n)])
         report = run_aid(DataMatrix(b.reshape(-1, 1)), DataMatrix(a), prob, part)
         ref = lad_vertex_oracle(b, a, np.ones(n))
@@ -345,7 +345,7 @@ class TestRunAid:
             local = np.random.default_rng(seed)
             b, a = lad_instance(local, n=60, m=2)
             part = random_partition(local, 60, 4)
-            report = run_aid(b, a, LadRegressionProblem(2), part)
+            report = run_aid(b, a, LadRegressionProblem(), part)
             bounds = [r.aggregated_objective for r in report.iterations]
             assert all(
                 later >= earlier - 1e-9 for earlier, later in zip(bounds, bounds[1:])
@@ -355,7 +355,7 @@ class TestRunAid:
     def test_cluster_count_strictly_grows(self, rng):
         b, a = lad_instance(rng, n=80, m=2)
         part = random_partition(rng, 80, 3)
-        report = run_aid(b, a, LadRegressionProblem(2), part)
+        report = run_aid(b, a, LadRegressionProblem(), part)
         counts = [r.cluster_count for r in report.iterations]
         assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
         assert all(c2 <= 2 * c1 for c1, c2 in zip(counts, counts[1:]))
@@ -364,7 +364,7 @@ class TestRunAid:
         b, a = lad_instance(rng, n=60, m=3)
         part = ClusterPartition(n=60, clusters=(tuple(range(60)),))
         with pytest.raises(IterationLimitError) as err:
-            run_aid(b, a, LadRegressionProblem(3), part, AidConfig(max_iters=1))
+            run_aid(b, a, LadRegressionProblem(), part, AidConfig(max_iters=1))
         assert err.value.report.termination == "iteration_limit"
         assert not err.value.report.converged
         assert len(err.value.report.iterations) == 1
@@ -374,20 +374,20 @@ class TestRunAid:
         b, a = lad_instance(rng, n=5)
         with pytest.raises(ValueError):
             run_aid(
-                b, a, LadRegressionProblem(3), ClusterPartition.singletons(5),
+                b, a, LadRegressionProblem(), ClusterPartition.singletons(5),
                 AidConfig(max_iters=0),
             )
 
     def test_gap_termination_respects_tol(self, rng):
         b, a = lad_instance(rng, n=100, m=3)
         part = random_partition(rng, 100, 2)
-        report = run_aid(b, a, LadRegressionProblem(3), part, AidConfig(tol=0.05))
+        report = run_aid(b, a, LadRegressionProblem(), part, AidConfig(tol=0.05))
         assert report.final_gap <= 0.05 + 1e-12
         validate_report(report, tol=0.05)
 
     def test_one_evaluation_per_iteration(self, rng):
         b, a = lad_instance(rng, n=60, m=2)
-        prob = CountingLad(2)
+        prob = CountingLad()
         report = run_aid(b, a, prob, random_partition(rng, 60, 3))
         assert report.total_iterations >= 2
         assert prob.evaluations == report.total_iterations
@@ -395,7 +395,7 @@ class TestRunAid:
     def test_shape_validation(self, rng):
         b, a = lad_instance(rng, n=10)
         with pytest.raises(PartitionError):
-            run_aid(b, a, LadRegressionProblem(3), ClusterPartition.singletons(9))
+            run_aid(b, a, LadRegressionProblem(), ClusterPartition.singletons(9))
 
     def test_flat_fit_rejected_not_broadcast(self, rng):
         # an (n,) fit against the (n, 1) target would broadcast to n x n
@@ -405,14 +405,13 @@ class TestRunAid:
 
         b, a = lad_instance(rng, n=10)
         with pytest.raises(PartitionError, match="shape"):
-            run_aid(b, a, FlatLad(3), random_partition(rng, 10, 2))
+            run_aid(b, a, FlatLad(), random_partition(rng, 10, 2))
 
 
 class CountingLad(LadRegressionProblem):
     """Counts full-data evaluations of the fit."""
 
-    def __init__(self, m):
-        super().__init__(m)
+    def __init__(self):
         self.evaluations = 0
 
     def apply_f(self, solution, A):
@@ -423,8 +422,8 @@ class CountingLad(LadRegressionProblem):
 class CountingPca(PcaProjectionProblem):
     """Records the cluster count and solution of every exact solve."""
 
-    def __init__(self, m, p):
-        super().__init__(m, p)
+    def __init__(self, p):
+        super().__init__(p)
         self.calls = []
 
     def solve_weighted(self, agg, config):
@@ -448,7 +447,7 @@ def two_blob_pca(rng, per_blob=6):
 class TestRunAidMaximize:
     def test_budget_stop_keeps_agreement_incumbent(self, rng):
         a, part = two_blob_pca(rng)
-        prob = CountingPca(2, 1)
+        prob = CountingPca(1)
         cap = 2  # two clusters fit (2^1 sign vectors), four would not
         config = AidConfig(tol=0.0, solver=SolverConfig(pca_cap=cap))
         report = run_aid(prob.zero_target(a.rows), a, prob, part, config)
@@ -468,7 +467,7 @@ class TestRunAidMaximize:
         a, _ = two_blob_pca(rng)
         # each cluster holds rows of both blobs, which project with opposite signs
         part = ClusterPartition.from_labels([0, 1] * 6)
-        prob = CountingPca(2, 1)
+        prob = CountingPca(1)
         cap = 2  # two clusters fit, the four a split would make do not
         config = AidConfig(tol=0.0, solver=SolverConfig(pca_cap=cap))
         b = prob.zero_target(a.rows)
@@ -486,7 +485,7 @@ class TestRunAidMaximize:
     def test_tol_zero_ends_certified(self, rng, p):
         for _ in range(5):
             a = DataMatrix(rng.standard_normal((8, 3)))
-            prob = PcaProjectionProblem(3, p)
+            prob = PcaProjectionProblem(p)
             part = random_partition(rng, 8, 2)
             report = run_aid(prob.zero_target(8), a, prob, part, AidConfig(tol=0.0))
             assert report.certified_optimal
@@ -504,7 +503,7 @@ class TestRunAidMaximize:
 
         monkeypatch.setattr(ClusterPartition, "clusters", property(no_tuple_view))
         a = DataMatrix(rng.standard_normal((8, 3)))
-        prob = PcaProjectionProblem(3, 2)
+        prob = PcaProjectionProblem(2)
         part = ClusterPartition.from_labels([0, 1] * 4)
         report = run_aid(prob.zero_target(8), a, prob, part, AidConfig(tol=0.0))
         assert report.total_iterations > 1 and report.certified_optimal
@@ -512,7 +511,7 @@ class TestRunAidMaximize:
     def test_duplicate_rows_end_certified(self, rng):
         rows = rng.standard_normal((4, 3))
         a = DataMatrix(np.repeat(rows, 3, axis=0))
-        prob = PcaProjectionProblem(3, 1)
+        prob = PcaProjectionProblem(1)
         part = ClusterPartition.from_labels(np.repeat(np.arange(4), 3))
         report = run_aid(prob.zero_target(12), a, prob, part, AidConfig(tol=0.0))
         assert report.total_iterations == 1
@@ -521,16 +520,16 @@ class TestRunAidMaximize:
 
     def test_refine_splits_only_positive_terms(self, rng):
         a, part = two_blob_pca(rng)
-        prob = PcaProjectionProblem(2, 1)
+        prob = PcaProjectionProblem(1)
         out = refine(a.values, prob, part, np.array([1.0, 0.0]))
         assert out.cluster_count == 3
-        assert out.iteration == part.iteration + 1
+        assert sorted(i for c in out.clusters for i in c) == list(range(part.n))
         assert out.clusters[2] == part.clusters[1]
         assert sorted(out.clusters[0] + out.clusters[1]) == list(part.clusters[0])
 
     def test_validate_report_checks_upper_bound(self, rng):
         a = DataMatrix(rng.standard_normal((8, 3)))
-        prob = PcaProjectionProblem(3, 1)
+        prob = PcaProjectionProblem(1)
         report = run_aid(
             prob.zero_target(8), a, prob, random_partition(rng, 8, 2), AidConfig(tol=0.0)
         )
@@ -565,15 +564,15 @@ class TestAveragingCommutation:
             part = random_partition(rng, n, 4)
             w = self._averaging_matrix(part)
             if problem_name == "pca":
-                prob = PcaProjectionProblem(m, 2)
+                prob = PcaProjectionProblem(2)
                 g = rng.standard_normal((m, 2))
                 q, _ = np.linalg.qr(g)
                 sol = type("S", (), {"components": q})()
             else:
                 prob = {
-                    "lad": LadRegressionProblem(m),
+                    "lad": LadRegressionProblem(),
                     "subset": SubsetSelectionProblem(m, 2),
-                    "sphere": SphereRegressionProblem(m, 4.0),
+                    "sphere": SphereRegressionProblem(4.0),
                 }[problem_name]
                 x = rng.standard_normal(m)
                 if problem_name == "subset":

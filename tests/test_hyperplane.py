@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
+from aidfit.clustering import kmeans_one_pass
+from aidfit.core import ClusterPartition
 from aidfit.linalg import DataMatrix
 from aidfit.problems.hyperplane import (
     DegenerateColumnError,
+    _orthonormal_graph_basis,
     solve_best_fit_hyperplane,
 )
-from oracles import hyperplane_oracle
+from oracles import hyperplane_oracle, lad_vertex_oracle
+
+
+def singleton_partition(a: np.ndarray, seed: int = 0) -> ClusterPartition:
+    return ClusterPartition.singletons(len(a))
+
+
+def fit_singletons(a: np.ndarray):
+    return solve_best_fit_hyperplane(DataMatrix(a), singleton_partition(a))
+
+
+def kmeans_partition(a: np.ndarray, seed: int) -> ClusterPartition:
+    """One k-means pass on the raw rows with 2 <= k < n clusters."""
+    return kmeans_one_pass(DataMatrix(a), max(2, len(a) // 3), seed=seed)
 
 
 def l2_plane_l1_error(a: np.ndarray) -> float:
@@ -25,7 +41,7 @@ class TestHyperplane:
     def test_perfect_line_fit(self):
         x1 = np.linspace(-2, 2, 9)
         pts = np.stack([x1, 2 * x1], axis=1)
-        fit = solve_best_fit_hyperplane(DataMatrix(pts))
+        fit = fit_singletons(pts)
         assert fit.objective <= 1e-10
         # every point lies on the fitted hyperplane
         recon = fit.coordinates.values @ fit.basis.values.T + fit.intercept
@@ -33,26 +49,55 @@ class TestHyperplane:
 
     def test_three_point_example(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        fit = solve_best_fit_hyperplane(DataMatrix(pts))
+        fit = fit_singletons(pts)
         assert fit.objective == pytest.approx(1.0, abs=1e-12)
+        # both coordinates reach 1.0; the first one wins the tie
+        assert fit.winning_column == 0
 
-    def test_matches_coordinate_regression_oracle(self, rng):
-        for _ in range(40):
+    @pytest.mark.parametrize(
+        "partition", [singleton_partition, kmeans_partition], ids=["singletons", "kmeans"]
+    )
+    def test_matches_coordinate_regression_oracle(self, rng, partition):
+        for seed in range(40):
             n = int(rng.integers(4, 13))
             m = int(rng.integers(2, 4))
             a = rng.standard_normal((n, m))
-            fit = solve_best_fit_hyperplane(DataMatrix(a))
+            initial = partition(a, seed)
+            fit = solve_best_fit_hyperplane(DataMatrix(a), initial)
             assert fit.objective == pytest.approx(hyperplane_oracle(a), abs=1e-9)
+            assert fit.objective == fit.report.best_objective
+            assert fit.report.iterations[0].cluster_count == initial.cluster_count
+
+    def test_winner_is_smallest_coordinate_objective(self, rng):
+        a = rng.standard_normal((30, 3))
+        fit = solve_best_fit_hyperplane(DataMatrix(a), kmeans_partition(a, seed=4))
+        objectives = [
+            lad_vertex_oracle(
+                a[:, j], np.hstack([np.delete(a, j, axis=1), np.ones((30, 1))]), np.ones(30)
+            )
+            for j in range(3)
+        ]
+        assert fit.winning_column == int(np.argmin(objectives))
+        assert fit.objective == pytest.approx(min(objectives), abs=1e-9)
+        assert fit.report.converged
+
+    def test_basis_matches_gram_schmidt(self, rng):
+        directions = rng.standard_normal((5, 3))
+        expected = np.zeros((5, 3))
+        for j in range(3):
+            v = directions[:, j] - expected[:, :j] @ (expected[:, :j].T @ directions[:, j])
+            expected[:, j] = v / np.linalg.norm(v)
+        assert np.abs(_orthonormal_graph_basis(directions) - expected).max() <= 1e-12
 
     def test_beats_l2_plane(self, rng):
         a = rng.standard_normal((12, 3))
         a[:, 2] = a[:, 0] - 2 * a[:, 1] + 0.3 * rng.standard_normal(12)
-        fit = solve_best_fit_hyperplane(DataMatrix(a))
+        fit = fit_singletons(a)
         assert fit.objective <= l2_plane_l1_error(a) + 1e-9
 
     def test_objective_recomputes_from_fit(self, rng):
         a = rng.standard_normal((10, 3))
-        fit = solve_best_fit_hyperplane(DataMatrix(a))
+        fit = fit_singletons(a)
         recon = fit.coordinates.values @ fit.basis.values.T + fit.intercept
         assert fit.objective == pytest.approx(float(np.abs(a - recon).sum()), abs=1e-9)
         # basis columns orthonormal
@@ -63,8 +108,8 @@ class TestHyperplane:
         a = rng.standard_normal((8, 3))
         a[:, 1] = 7.0
         with pytest.raises(DegenerateColumnError, match="column 1"):
-            solve_best_fit_hyperplane(DataMatrix(a))
+            fit_singletons(a)
 
     def test_too_few_rows(self, rng):
         with pytest.raises(ValueError):
-            solve_best_fit_hyperplane(DataMatrix(rng.standard_normal((2, 3))))
+            fit_singletons(rng.standard_normal((2, 3)))
