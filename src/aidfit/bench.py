@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -507,6 +506,9 @@ def run_benchmark(
         for rep in range(reps)
     ]
     if jobs > 1:
+        # imported here: the process pool costs import time that only jobs > 1 uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_cell_rep, tasks))
     else:

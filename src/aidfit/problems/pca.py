@@ -3,6 +3,9 @@
 The optimum of max ||A X||_1 over orthonormal X equals the best nuclear norm
 of A^T S over sign matrices S, so the solver enumerates S (first entry fixed
 to +1, the rest a binary counter) and rounds the winner to its polar factor.
+The enumeration never forms S: it tabulates the signed sums of A's rows by
+doubling and scores all sign vectors from two such tables with one GEMM per
+chunk, meet-in-the-middle style (Horowitz and Sahni, 1974).
 Aggregated weighted instances reduce to the unweighted problem by scaling
 each row by its cluster size.
 
@@ -31,7 +34,8 @@ __all__ = [
     "principal_halves",
 ]
 
-ENUM_BLOCK = 1 << 14
+CHUNK = 1 << 17  # scores per GEMM chunk of the p=1 enumeration
+TIE_REL = 1e-10  # relative band below the best expanded score that is rescored
 
 
 @dataclass(frozen=True)
@@ -53,15 +57,130 @@ def weighted_to_unweighted_pca(agg: AggregatedInstance) -> DataMatrix:
     return DataMatrix(agg.A_agg * agg.weights[:, None])
 
 
-def _sign_block(start: int, count: int, bits: int) -> np.ndarray:
-    """Rows start..start+count-1 of the +-1 counter over ``bits`` bits.
+def _sign_block(idx: int | np.ndarray, bits: int) -> np.ndarray:
+    """Rows ``idx`` (an int or int array) of the +-1 counter over ``bits`` bits.
 
     Bit 0 of the counter is the last entry; counter value 0 is all +1.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    idx = np.asarray(idx, dtype=np.uint64).reshape(-1)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
     bit = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
     return 1.0 - 2.0 * bit.astype(np.float64)
+
+
+def _signed_sums(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``base + s @ rows`` for every sign vector s of the counter over the rows.
+
+    Row i of the table is counter value i, in ``_sign_block``'s order: each
+    row doubles the table, and adding the rows last to first makes the first
+    one the most significant bit.
+    """
+    table = np.empty((1 << len(rows), base.size))
+    table[0] = base
+    size = 1
+    for row in rows[::-1]:
+        np.subtract(table[:size], row, out=table[size : 2 * size])
+        table[:size] += row
+        size *= 2
+    return table
+
+
+def _half_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Signed-sum tables of the high and low halves of the p=1 counter.
+
+    Returns (TH, TL, l): TH[i] = a_0 + sum over the high rows and TL[j] the
+    sum over the l low rows, so counter value i * 2^l + j has the signed sum
+    TH[i] + TL[j].
+    """
+    bits = a.shape[0] - 1
+    low = (bits + 1) // 2
+    split = 1 + bits - low
+    return (
+        _signed_sums(a[1:split], a[0]),
+        _signed_sums(a[split:], np.zeros(a.shape[1])),
+        low,
+    )
+
+
+def _direct_scores(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Squared norm of s @ a for the p=1 counter values ``idx``, in a fixed order.
+
+    The rows are added first to last and the squares summed column by
+    column, so a vector's score does not depend on which others are scored
+    with it (BLAS rounds a row of a product differently with the row count).
+    Memory is a few arrays of ``idx.size`` by m.
+    """
+    n = a.shape[0]
+    proj = np.tile(a[0], (idx.size, 1))
+    for r in range(1, n):
+        sign = 1.0 - 2.0 * ((idx >> (n - 1 - r)) & 1)
+        proj += sign[:, None] * a[r]
+    scores = np.zeros(idx.size)
+    for col in proj.T:
+        scores += col * col
+    return scores
+
+
+def _best_sign_vector(a: np.ndarray) -> int:
+    """Counter value of the earliest maximizer of ``_direct_scores``.
+
+    With TH, TL from ``_half_tables``, the squared score of i * 2^l + j is
+    ||TH_i||^2 + ||TL_j||^2 + 2 TH_i . TL_j, one GEMM of the augmented
+    tables [TH, ||TH||^2, 1] and [2 TL, 1, ||TL||^2] per chunk of at most
+    ``CHUNK`` scores in counter order. At a maximizer TH_i . TL_j >= 0
+    (flipping the whole low half would score higher otherwise), so there the
+    expansion has no cancellation and lies within a few ulps per row of the
+    direct score. Every entry within ``TIE_REL`` of the running expanded
+    maximum is rescored directly, and the incumbent is replaced only on a
+    strictly higher direct score.
+    """
+    th, tl, low_bits = _half_tables(a)
+    hi = np.column_stack([th, np.einsum("ij,ij->i", th, th), np.ones(len(th))])
+    lo = np.column_stack([2.0 * tl, np.ones(len(tl)), np.einsum("ij,ij->i", tl, tl)]).T
+    cols = min(lo.shape[1], CHUNK)
+    rows = CHUNK // cols
+    top = -np.inf
+    best_score = -np.inf
+    best_index = 0
+    for i0 in range(0, len(hi), rows):
+        for j0 in range(0, lo.shape[1], cols):
+            scores = hi[i0 : i0 + rows] @ lo[:, j0 : j0 + cols]
+            chunk_top = float(scores.max())
+            top = max(top, chunk_top)
+            if chunk_top < top - TIE_REL * abs(top):
+                continue
+            i, j = np.nonzero(scores >= top - TIE_REL * abs(top))
+            idx = ((i + i0) << low_bits) + j + j0
+            exact = _direct_scores(a, idx)
+            k = int(np.argmax(exact))
+            if exact[k] > best_score:
+                best_score = float(exact[k])
+                best_index = int(idx[k])
+    return best_index
+
+
+def _best_sign_pair(a: np.ndarray) -> tuple[int, int]:
+    """Counter values (s1 over n-1 bits, s2 over n) of the earliest p=2 maximizer.
+
+    The n-bit s2 table is the s1 table followed by its negation in reverse:
+    s2 counter value 2^(n-1) + c is -s1 of the complement of c.
+    """
+    half = 1 << (a.shape[0] - 1)
+    t1 = _signed_sums(a[1:], a[0])
+    t2 = np.concatenate([t1, -t1[::-1]])
+    g22 = np.einsum("ij,ij->i", t2, t2)
+    best_score = -np.inf
+    best_index = -1
+    block_rows = max(1, (1 << 20) // (2 * half))
+    for start in range(0, half, block_rows):
+        stop = min(start + block_rows, half)
+        g12 = t1[start:stop] @ t2.T
+        scores = _nuclear_pairs(g22[start:stop, None], g22[None, :], g12)
+        local = int(np.argmax(scores))
+        if scores.ravel()[local] > best_score:
+            best_score = float(scores.ravel()[local])
+            best_index = start * 2 * half + local
+    return divmod(best_index, 2 * half)
 
 
 def _nuclear_pairs(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray) -> np.ndarray:
@@ -135,9 +254,11 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
     """Globally maximize ||A X||_1 over m-by-p X with orthonormal columns.
 
     Sign matrices are scored by the nuclear norm of A^T S; ties keep the
-    earliest matrix in counter order. The winner is rounded to X = U V^T,
-    the polar factor of A^T S = U Sigma V^T (thin SVD), and the objective
-    recomputed as ||A X||_1.
+    earliest matrix in counter order (for p=1, the earliest maximizer of
+    ``_direct_scores``; for p=2, of the Gram-entry scores of the signed-sum
+    table). The winner is rounded to X = U V^T, the polar factor of
+    A^T S = U Sigma V^T (thin SVD), and the objective recomputed as
+    ||A X||_1.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
@@ -153,54 +274,14 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
     a = A.values
 
     if p == 1:
-        best_score = -np.inf
-        best_index = -1
-        total = 1 << (n - 1)
-        for start in range(0, total, ENUM_BLOCK):
-            count = min(ENUM_BLOCK, total - start)
-            block = np.empty((count, n))
-            block[:, 0] = 1.0
-            if n > 1:
-                block[:, 1:] = _sign_block(start, count, n - 1)
-            proj = block @ a
-            scores = np.sqrt(np.einsum("ij,ij->i", proj, proj))
-            local = int(np.argmax(scores))
-            if scores[local] > best_score:
-                best_score = float(scores[local])
-                best_index = start + local
-        signs = np.empty((n, 1))
-        signs[0, 0] = 1.0
-        if n > 1:
-            signs[1:, 0] = _sign_block(best_index, 1, n - 1)[0]
+        i1 = _best_sign_vector(a)
     else:
-        half = 1 << (n - 1)
-        full = 1 << n
-        all_s2 = _sign_block(0, full, n)
-        proj2 = all_s2 @ a
-        g22 = np.einsum("ij,ij->i", proj2, proj2)
-        best_score = -np.inf
-        best_index = -1
-        block_rows = max(1, (1 << 20) // full)
-        for start in range(0, half, block_rows):
-            count = min(block_rows, half - start)
-            s1 = np.empty((count, n))
-            s1[:, 0] = 1.0
-            if n > 1:
-                s1[:, 1:] = _sign_block(start, count, n - 1)
-            proj1 = s1 @ a
-            g11 = np.einsum("ij,ij->i", proj1, proj1)
-            g12 = proj1 @ proj2.T
-            scores = _nuclear_pairs(g11[:, None], g22[None, :], g12)
-            local = int(np.argmax(scores))
-            if scores.ravel()[local] > best_score:
-                best_score = float(scores.ravel()[local])
-                best_index = start * full + local
-        i1, i2 = divmod(best_index, full)
-        signs = np.empty((n, 2))
-        signs[0, 0] = 1.0
-        if n > 1:
-            signs[1:, 0] = _sign_block(i1, 1, n - 1)[0]
-        signs[:, 1] = _sign_block(i2, 1, n)[0]
+        i1, i2 = _best_sign_pair(a)
+    signs = np.empty((n, p))
+    signs[0, 0] = 1.0
+    signs[1:, 0] = _sign_block(i1, n - 1)[0]
+    if p == 2:
+        signs[:, 1] = _sign_block(i2, n)[0]
 
     u, _, vt = np.linalg.svd(a.T @ signs, full_matrices=False)
     components = u @ vt

@@ -118,6 +118,26 @@ def l1pca_enumeration_oracle(a: np.ndarray, p: int) -> float:
     return best
 
 
+def l1pca_first_maximizer_oracle(a: np.ndarray) -> np.ndarray:
+    """First p=1 sign vector in counter order maximizing the direct score.
+
+    Counter order fixes the first sign to +1 and counts the rest in binary,
+    the second row most significant and +1 before -1. The direct score is
+    ||s @ a||^2 with the rows added first to last and the squares summed
+    column by column; that order is part of the contract, because ties in
+    exact arithmetic are broken by how the score rounds.
+    """
+    n, m = a.shape
+    signs = np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=n - 1)])
+    proj = np.zeros((len(signs), m))
+    for r in range(n):
+        proj += signs[:, r, None] * a[r]
+    scores = np.zeros(len(signs))
+    for c in range(m):
+        scores += proj[:, c] * proj[:, c]
+    return signs[int(np.argmax(scores))]
+
+
 def l1pca_weighted_enumeration_oracle(
     a: np.ndarray, weights: np.ndarray, p: int
 ) -> float:

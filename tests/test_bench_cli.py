@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import aidfit
 from aidfit.bench import (
     REPORT_SCHEMA,
     RunSettings,
@@ -166,6 +171,17 @@ class TestBenchmark:
     def test_seed_derivation_unique(self):
         seeds = {seed_for(0, ci, rep) for ci in range(20) for rep in range(50)}
         assert len(seeds) == 20 * 50
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only jobs > 1 needs the process pool, so importing the module
+        # must not pay for it
+        src = Path(aidfit.__file__).resolve().parent.parent
+        code = "import sys, aidfit.bench; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_parallel_matches_serial(self):
         grid = {"n": [20, 30], "m": [2]}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aidfit.problems import pca
 from aidfit.problems.lad import InstanceTooLargeError
 from aidfit.core import ClusterPartition, aggregate
 from aidfit.problems.pca import (
@@ -15,6 +16,7 @@ from aidfit.linalg import DataMatrix
 from conftest import make_agg
 from oracles import (
     l1pca_enumeration_oracle,
+    l1pca_first_maximizer_oracle,
     l1pca_sampling_bound,
     l1pca_weighted_enumeration_oracle,
 )
@@ -144,6 +146,57 @@ class TestExactSolver:
                     best = (score, s)
         sol = solve_l1pca_exact(DataMatrix(a), 2)
         assert np.array_equal(sol.sign_matrix, best[1])
+
+
+def tie_heavy_cases(rng, n):
+    """Data whose sign vectors tie in exact arithmetic, so counter order decides."""
+    m = int(rng.integers(1, 5))
+    integer = rng.integers(-3, 4, size=(n, m)).astype(float)
+    duplicated = rng.standard_normal((n, m))
+    duplicated[rng.integers(n, size=(n + 1) // 2)] = duplicated[-1]
+    zero_row = rng.standard_normal((n, m))
+    zero_row[rng.integers(n)] = 0.0
+    return {"integer": integer, "duplicated": duplicated, "zero-row": zero_row}
+
+
+class TestTieBreak:
+    @pytest.mark.parametrize("chunk", [pca.CHUNK, 4], ids=["default-chunk", "chunk-4"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**-20, 1e6, 1e-6])
+    def test_p1_returns_first_maximizer_of_direct_score(self, rng, monkeypatch, chunk, scale):
+        # a chunk of 4 scores splits the enumeration across chunks and,
+        # from n=6 on, each high-half row across several column blocks
+        monkeypatch.setattr(pca, "CHUNK", chunk)
+        for n in range(1, 13):
+            for kind, a in tie_heavy_cases(rng, n).items():
+                sol = solve_l1pca_exact(DataMatrix(a * scale), p=1)
+                expected = l1pca_first_maximizer_oracle(a * scale)
+                assert np.array_equal(sol.sign_matrix[:, 0], expected), (n, kind)
+
+    def test_all_zero_rows_return_counter_zero_one_chunk_at_a_time(self, monkeypatch):
+        # every sign vector ties, so every one is rescored, a chunk at a time
+        batches = []
+        direct = pca._direct_scores
+
+        def spy(a, idx):
+            batches.append(idx.size)
+            return direct(a, idx)
+
+        monkeypatch.setattr(pca, "_direct_scores", spy)
+        sol = solve_l1pca_exact(DataMatrix(np.zeros((20, 3))), p=1)
+        assert np.all(sol.sign_matrix == 1.0)
+        assert sum(batches) == 2**19
+        assert max(batches) <= pca.CHUNK
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+    def test_half_tables_are_signed_sums_in_counter_order(self, rng, n):
+        a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        th, tl, low = pca._half_tables(a)
+        assert th.shape == (2 ** (n - 1 - low), 3) and tl.shape == (2**low, 3)
+        idx = np.arange(2 ** (n - 1))
+        signs = np.column_stack([np.ones(idx.size), pca._sign_block(idx, n - 1)])
+        i, j = np.divmod(idx, 2**low)
+        err = np.abs(th[i] + tl[j] - signs @ a)
+        assert np.all(err <= 1e-12 * np.abs(a).sum(axis=0))
 
 
 class TestWeightedTransform:
