@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one line per benchmark pool instance: payload digest plus its key facts.
 
-Solves every pool instance of every ``perfbench`` workload through
-``aidfit.bench.run_solve`` and prints
+Solves every pool instance of every ``perfbench`` workload (or, with
+``--workload NAME``, of that one) through ``aidfit.bench.run_solve`` and
+prints
 
     workload seed digest objective termination counts signs
 
@@ -23,12 +24,15 @@ compare two checkouts run a copy in each and diff the outputs:
     python3 ../other-checkout/scripts/payload_digests.py > old.txt
     diff old.txt new.txt
 
+    python3 scripts/payload_digests.py --workload subset-paper   # one pool
+
 BLAS runs single-threaded, as in the benchmark, so the lines repeat across
 runs on one host.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -56,13 +60,20 @@ def payload_facts(report: dict) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", help="solve only this workload's pool")
+    args = parser.parse_args()
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from aidfit.bench import run_solve
     from workloads import WORKLOADS
 
+    if args.workload is not None and args.workload not in WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(WORKLOADS)}")
     for name, workload in WORKLOADS.items():
+        if args.workload not in (None, name):
+            continue
         for seed in range(1, workload.pool + 1):
             report = run_solve(*workload.instance(seed))
             print(name, seed, payload_digest(report), payload_facts(report), flush=True)

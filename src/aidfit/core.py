@@ -48,13 +48,15 @@ __all__ = [
     "check_optimality",
     "decluster",
     "refine",
+    "bound_slack",
     "optimality_gap",
     "run_aid",
     "validate_report",
 ]
 
 DEFAULT_EPS_SIGN = 1e-9
-BOUND_SLACK = 1e-9
+# n * machine epsilon at n = 2**20 rows; objectives are sums of up to n terms
+BOUND_SLACK_REL = 2.0**-32
 
 
 class PartitionError(ValueError):
@@ -276,11 +278,18 @@ class ProblemDefinition(abc.ABC):
         rows ``a``; returns the (n, q) fit."""
 
     @abc.abstractmethod
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig):
+    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig, prior=None):
         """Exactly solve the weighted problem on aggregated data.
 
         Returns a problem-specific solution object carrying ``objective``,
         the optimal weighted value in the problem's natural sense.
+
+        ``prior`` is None on a run's first solve. Later ``run_aid`` passes
+        ``(previous, incumbent)``: the solution this method returned on the
+        partition the current one was split from, and the best full-data
+        objective found so far. A problem may use it to skip work that
+        cannot change the result; the returned solution must equal the one
+        it returns without ``prior``.
         """
 
     # Maximize-sense problems also implement the three methods below; the
@@ -339,6 +348,8 @@ class AidReport:
     iterations: tuple[IterationRecord, ...]
     solution: object
     termination: Termination
+    # sum of the target's absolute entries; scales the bound checks' slack
+    scale: float = 0.0
 
     @property
     def total_iterations(self) -> int:
@@ -525,8 +536,19 @@ def refine(
     return partition._split(split, second)
 
 
+def bound_slack(value, bound, scale=0.0):
+    """Rounding allowance for comparing an objective with a bound on it.
+
+    Relative to ``|value| + |bound| + scale``, with no absolute floor, so it
+    holds at every data scale. ``scale`` is the target's magnitude, the sum
+    of its absolute entries: the objectives of a near-exact fit are rounding
+    noise of that size, not of their own. Works elementwise on arrays.
+    """
+    return BOUND_SLACK_REL * (np.abs(value) + np.abs(bound) + scale)
+
+
 def optimality_gap(
-    best_objective: float, bound: float, upper_bound: float | None = None
+    best_objective: float, bound: float, upper_bound: float | None = None, scale: float = 0.0
 ) -> float:
     """Relative distance from the incumbent to the farthest the optimum can lie.
 
@@ -534,14 +556,15 @@ def optimality_gap(
     and the gap is (best - bound) / best. Maximize sense: ``bound`` is still
     a lower bound, so pass the sound ``upper_bound``; the gap is then
     (upper_bound - best) / best, infinite while best is zero and the upper
-    bound is not.
+    bound is not. Crossings within ``bound_slack`` of ``scale`` are rounding
+    and tolerated; larger ones raise ``LowerBoundViolationError``.
     """
-    if best_objective < bound - BOUND_SLACK:
+    if best_objective < bound - bound_slack(best_objective, bound, scale):
         raise LowerBoundViolationError(
             f"aggregated bound {bound} exceeds incumbent {best_objective}"
         )
     if upper_bound is not None:
-        if upper_bound < best_objective - BOUND_SLACK:
+        if upper_bound < best_objective - bound_slack(upper_bound, best_objective, scale):
             raise LowerBoundViolationError(
                 f"upper bound {upper_bound} below incumbent {best_objective}"
             )
@@ -577,7 +600,9 @@ def run_aid(
 
     ``B`` and ``A`` are read as arrays once. Each iteration evaluates the
     fit on the full data once and forms the residual B - F once; that one
-    residual gives both the objective and the sign check. Disagreeing
+    residual gives both the objective and the sign check. Every solve after
+    the first gets ``prior``: the previous solution and the incumbent's
+    objective (see ``ProblemDefinition.solve_weighted``). Disagreeing
     clusters are split by ``decluster``. When a maximize-sense run's
     clusters agree but its gap exceeds ``tol``, ``refine`` splits every
     cluster with a positive upper-bound term. Raises ``IterationLimitError``
@@ -600,6 +625,7 @@ def run_aid(
         raise ValueError("max_iters must be at least 1")
     maximize = problem.sense == "maximize"
     flip = -1.0 if maximize else 1.0
+    scale = float(np.abs(b).sum())
 
     partition = initial
     records: list[IterationRecord] = []
@@ -610,9 +636,10 @@ def run_aid(
     termination = None
 
     agg = None
+    prior = None
     for t in range(1, max_iters + 1):
         agg = aggregate(b, a, partition, previous=agg)
-        solution = problem.solve_weighted(agg, config.solver)
+        solution = problem.solve_weighted(agg, config.solver, prior=prior)
         bound = float(solution.objective)
         residual = _residual(b, problem.apply_f(solution, a))
         objective = float(np.abs(residual).sum())
@@ -620,10 +647,11 @@ def run_aid(
             best_internal = flip * objective
             best_objective = objective
             best_solution = solution
+        prior = (solution, best_objective)
         if maximize:
             terms = problem.bound_terms(a, partition)
             upper = min(upper, bound + float(terms.sum()))
-        gap = optimality_gap(best_objective, bound, upper)
+        gap = optimality_gap(best_objective, bound, upper, scale)
         records.append(
             IterationRecord(
                 t=t,
@@ -669,6 +697,7 @@ def run_aid(
         iterations=tuple(records),
         solution=best_solution,
         termination=termination or "iteration_limit",
+        scale=scale,
     )
     if termination is None:
         raise IterationLimitError(report)
@@ -682,19 +711,22 @@ def validate_report(report: AidReport, tol: float | None = None) -> None:
     prev_bound = -np.inf
     prev_best = np.inf
     prev_upper = np.inf
+    scale = report.scale
     for rec in report.iterations:
-        if rec.aggregated_objective < prev_bound - BOUND_SLACK:
+        bound = rec.aggregated_objective
+        if bound < prev_bound - bound_slack(bound, prev_bound, scale):
             raise ValueError(f"aggregated bound decreased at t={rec.t}")
-        prev_bound = max(prev_bound, rec.aggregated_objective)
-        if flip * rec.best_objective > prev_best + BOUND_SLACK:
+        prev_bound = max(prev_bound, bound)
+        best = rec.best_objective
+        if flip * best > prev_best + bound_slack(best, prev_best, scale):
             raise ValueError(f"incumbent worsened at t={rec.t}")
-        prev_best = min(prev_best, flip * rec.best_objective)
-        if rec.best_objective < rec.aggregated_objective - BOUND_SLACK:
+        prev_best = min(prev_best, flip * best)
+        if best < bound - bound_slack(best, bound, scale):
             raise ValueError(f"bound above incumbent at t={rec.t}")
         if maximize:
             if rec.upper_bound is None:
                 raise ValueError(f"maximize-sense record without upper bound at t={rec.t}")
-            if rec.upper_bound < rec.best_objective - BOUND_SLACK:
+            if rec.upper_bound < best - bound_slack(rec.upper_bound, best, scale):
                 raise ValueError(f"upper bound below incumbent at t={rec.t}")
             if rec.upper_bound > prev_upper:
                 raise ValueError(f"upper bound increased at t={rec.t}")

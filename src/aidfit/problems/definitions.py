@@ -45,7 +45,9 @@ class LadRegressionProblem(_LinearMapMixin, ProblemDefinition):
 
     sense = "minimize"
 
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> RegressionSolution:
+    def solve_weighted(
+        self, agg: AggregatedInstance, config: SolverConfig, prior=None
+    ) -> RegressionSolution:
         return solve_weighted_lad(agg)
 
 
@@ -59,8 +61,10 @@ class SubsetSelectionProblem(_LinearMapMixin, ProblemDefinition):
             raise ValueError(f"p={p} out of range for m={m}")
         self.p = p
 
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> SubsetSolution:
-        return solve_subset_selection(agg, self.p, cap=config.subset_cap)
+    def solve_weighted(
+        self, agg: AggregatedInstance, config: SolverConfig, prior=None
+    ) -> SubsetSolution:
+        return solve_subset_selection(agg, self.p, cap=config.subset_cap, prior=prior)
 
 
 class SphereRegressionProblem(_LinearMapMixin, ProblemDefinition):
@@ -73,7 +77,9 @@ class SphereRegressionProblem(_LinearMapMixin, ProblemDefinition):
             raise ValueError("radius must be positive")
         self.radius = radius
 
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> SphereSolution:
+    def solve_weighted(
+        self, agg: AggregatedInstance, config: SolverConfig, prior=None
+    ) -> SphereSolution:
         return solve_sphere_lad(agg, radius=self.radius, tol=config.sphere_tol)
 
 
@@ -95,7 +101,9 @@ class PcaProjectionProblem(ProblemDefinition):
         """The (n, p) projections of the (n, m) rows ``a``."""
         return matmul(a, solution.components)
 
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig) -> PcaSolution:
+    def solve_weighted(
+        self, agg: AggregatedInstance, config: SolverConfig, prior=None
+    ) -> PcaSolution:
         return solve_weighted_l1pca(agg, self.p, cap=config.pca_cap)
 
     def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:

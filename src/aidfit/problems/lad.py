@@ -4,7 +4,8 @@ The regression is solved as a linear program over split variables (positive
 and negative parts of the coefficients and of the per-row residuals), which
 always admits a starting basis of residual columns, so no phase-1 is needed.
 Subset selection enumerates every support of the requested size and solves
-the restricted regression exactly for each.
+the restricted regression exactly for each support that a previous solve's
+bounds cannot rule out.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from ..core import AggregatedInstance
+from ..core import AggregatedInstance, LowerBoundViolationError, bound_slack
 from .simplex import primal_simplex
 
 __all__ = [
@@ -40,9 +41,18 @@ class RegressionSolution:
 
 @dataclass(frozen=True)
 class SubsetSolution:
+    """The best support and its fit.
+
+    ``support_bounds`` holds one value per support of size p, in
+    ``itertools.combinations`` order: the support's aggregated optimum
+    where this solve computed it, else the value carried from an earlier
+    solve, which bounds it from below.
+    """
+
     support: tuple[int, ...]
     coefficients: np.ndarray
     objective: float
+    support_bounds: np.ndarray
 
 
 def weighted_lad_lp(
@@ -89,13 +99,28 @@ def solve_weighted_lad(agg: AggregatedInstance) -> RegressionSolution:
 
 
 def solve_subset_selection(
-    agg: AggregatedInstance, p: int, cap: int = 10**6
+    agg: AggregatedInstance,
+    p: int,
+    cap: int = 10**6,
+    prior: tuple[SubsetSolution, float] | None = None,
 ) -> SubsetSolution:
     """Exact best-subset LAD: try every support of size p, keep the best.
 
     Supports are scanned in lexicographic order and only strict objective
-    improvements replace the incumbent, so equal-objective ties resolve to
+    improvements replace the best so far, so equal-objective ties resolve to
     the lexicographically smallest support.
+
+    ``prior`` is ``(previous, incumbent)``: the solution on a partition that
+    ``agg``'s partition refines, and the full-data objective of some fit
+    with p nonzeros. A support whose value in ``previous.support_bounds``
+    exceeds the incumbent by more than ``bound_slack`` (taken with the
+    aggregated target's magnitude as scale) is skipped and keeps that value.
+    This is exact: splitting a cluster never lowers a support's aggregated
+    optimum (triangle inequality per cluster), so the skipped support's
+    optimum here still exceeds the incumbent, which is at least the full
+    optimum, which is at least the best support's aggregated optimum. A
+    skipped support can neither win nor tie, so the result equals the
+    unpruned solve's.
     """
     m = agg.A_agg.shape[1]
     if not 1 <= p <= m:
@@ -108,16 +133,34 @@ def solve_subset_selection(
 
     b = agg.B_agg[:, 0]
     a = agg.A_agg
-
-    best: SubsetSolution | None = None
-    for support in combinations(range(m), p):
-        cols = list(support)
-        x_sub, _, objective = weighted_lad_lp(b, a[:, cols], agg.weights)
-        if best is None or objective < best.objective:
-            x_full = np.zeros(m)
-            x_full[cols] = x_sub
-            best = SubsetSolution(
-                support=support, coefficients=x_full, objective=objective
+    if prior is None:
+        bounds = np.full(n_supports, -np.inf)
+        skip = np.zeros(n_supports, dtype=bool)
+    else:
+        previous, incumbent = prior
+        if previous.support_bounds.shape != (n_supports,):
+            raise ValueError(
+                f"prior carries {previous.support_bounds.size} bounds, not {n_supports}"
             )
-    assert best is not None
-    return best
+        bounds = previous.support_bounds.copy()
+        scale = float(agg.weights @ np.abs(b))
+        skip = bounds > incumbent + bound_slack(incumbent, bounds, scale)
+
+    best = None
+    for i, support in enumerate(combinations(range(m), p)):
+        if skip[i]:
+            continue
+        x_sub, _, objective = weighted_lad_lp(b, a[:, list(support)], agg.weights)
+        bounds[i] = objective
+        if best is None or objective < best[0]:
+            best = (objective, support, x_sub)
+    if best is None:
+        raise LowerBoundViolationError(
+            f"incumbent {prior[1]} lies below every support's aggregated bound"
+        )
+    objective, support, x_sub = best
+    x_full = np.zeros(m)
+    x_full[list(support)] = x_sub
+    return SubsetSolution(
+        support=support, coefficients=x_full, objective=objective, support_bounds=bounds
+    )

@@ -52,21 +52,25 @@ def primal_simplex(
     variable of row i has coefficient 1 in row i, 0 elsewhere) and ``b``
     must be nonnegative, which the LAD formulation guarantees by
     construction.
+
+    The duals y (with ``a.T @ y <= c`` at the optimum and ``b @ y`` equal to
+    the objective) are read off the final reduced costs: the starting basis
+    columns form the identity, so their reduced costs are ``c - y``.
     """
     n_rows, n_cols = a.shape
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
     tableau = np.hstack([a.astype(float, copy=True), b.reshape(-1, 1).astype(float)])
-    basis = list(basis)
+    start = np.array(basis, dtype=np.int64)
 
     # reduced cost row: z_j = c_j - c_B @ T[:, j]
-    c_basis = c[basis]
+    c_basis = c[start]
     zrow = c.astype(float, copy=True) - c_basis @ tableau[:, :-1]
 
     if max_pivots is None:
         max_pivots = max(20_000, 200 * (n_rows + n_cols))
 
-    basis_arr = np.asarray(basis, dtype=np.int64)
+    basis_arr = start.copy()
     pivots = 0
     while True:
         improving = np.flatnonzero(zrow < -REDUCED_COST_TOL)
@@ -104,8 +108,7 @@ def primal_simplex(
     for i, var in enumerate(basis_out):
         x[var] = tableau[i, -1]
 
-    basis_cols = a[:, basis_out]
-    duals = np.linalg.solve(basis_cols.T, c[basis_out].astype(float))
+    duals = c[start] - zrow[start]
     return SimplexResult(
         x=x,
         objective=float(c @ x),

@@ -23,6 +23,12 @@ from aidfit.core import (
     run_aid,
     validate_report,
 )
+from aidfit.clustering import (
+    InitialClusterConfig,
+    build_initial_partition,
+    default_initial_cluster_count,
+)
+from aidfit.data_io import SyntheticSpec, generate_instance
 from aidfit.linalg import DataMatrix, matmul
 from aidfit.problems import (
     LadRegressionProblem,
@@ -312,6 +318,34 @@ class TestOptimalityGap:
         with pytest.raises(LowerBoundViolationError):
             optimality_gap(2.0, 1.0, 1.5)
 
+    def test_slack_is_relative_without_floor(self):
+        assert optimality_gap(1e12, 1e12 * (1 + 1e-14)) < 0
+        with pytest.raises(LowerBoundViolationError):
+            optimality_gap(1e-12, 2e-12)
+        # an exact fit's objectives are rounding noise of the target's size
+        assert optimality_gap(0.0, 2e-12, scale=1e4) == 0.0
+        with pytest.raises(LowerBoundViolationError):
+            optimality_gap(0.0, 2e-12)
+
+
+class TestScaledSweep:
+    """One lad instance, A and B scaled together, over 12 k-means seeds and
+    two feature sources: rounding in the bound must never read as a violation."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_no_bound_violation_at_scale(self, scale):
+        a, b, _ = generate_instance(SyntheticSpec(n=300, m=2, informative_p=2, seed=3))
+        A, B = DataMatrix(a.values * scale), DataMatrix(b.values * scale)
+        k = default_initial_cluster_count(300)
+        objectives = []
+        for seed in range(12):
+            for source in ("residuals", "raw_data"):
+                part = build_initial_partition(B, A, InitialClusterConfig(k, source, seed))
+                report = run_aid(B, A, LadRegressionProblem(), part, AidConfig(tol=0.0))
+                validate_report(report, tol=0.0)
+                objectives.append(report.best_objective)
+        assert max(objectives) - min(objectives) <= 1e-12 * max(objectives)
+
 
 def lad_instance(rng, n=40, m=3):
     a = rng.standard_normal((n, m))
@@ -426,8 +460,8 @@ class CountingPca(PcaProjectionProblem):
         super().__init__(p)
         self.calls = []
 
-    def solve_weighted(self, agg, config):
-        sol = super().solve_weighted(agg, config)
+    def solve_weighted(self, agg, config, prior=None):
+        sol = super().solve_weighted(agg, config, prior)
         self.calls.append((agg.cluster_count, sol))
         return sol
 

@@ -1,6 +1,13 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+import aidfit.problems.lad as lad
+from aidfit.clustering import kmeans_one_pass
+from aidfit.core import AidConfig, LowerBoundViolationError, run_aid
+from aidfit.linalg import DataMatrix
+from aidfit.problems import SubsetSelectionProblem
 from aidfit.problems.lad import (
     InstanceTooLargeError,
     solve_subset_selection,
@@ -112,3 +119,112 @@ class TestSubsetSelection:
         agg = make_agg(rng.standard_normal(4), rng.standard_normal((4, 3)))
         with pytest.raises(ValueError):
             solve_subset_selection(agg, p=4)
+
+
+class CheckedSubset(SubsetSelectionProblem):
+    """Checks every pruned solve against the unpruned one and counts its LPs."""
+
+    def __init__(self, m, p, lp_calls):
+        super().__init__(m, p)
+        self.lp_calls = lp_calls
+        self.per_solve = []
+
+    def solve_weighted(self, agg, config, prior=None):
+        before = len(self.lp_calls)
+        pruned = super().solve_weighted(agg, config, prior)
+        self.per_solve.append(len(self.lp_calls) - before)
+        full = solve_subset_selection(agg, self.p)
+        assert pruned.support == full.support
+        assert pruned.objective == full.objective
+        assert np.array_equal(pruned.coefficients, full.coefficients)
+        return pruned
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    original = lad.weighted_lad_lp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lad, "weighted_lad_lp", counting)
+    return calls
+
+
+def subset_instance(rng, n, m, kind):
+    if kind == "integer":
+        a = rng.integers(-3, 4, size=(n, m)).astype(float)
+        b = a[:, 0] * 2.0 - a[:, 1] + rng.integers(-2, 3, size=n)
+    else:
+        a = rng.standard_normal((n, m))
+        b = a[:, :2] @ rng.uniform(0, 100, 2) + rng.standard_normal(n)
+    if kind == "duplicated":
+        a[:, 2] = a[:, 0]
+    if kind.startswith("exact"):
+        b = a[:, 1] * 3.0 - a[:, 2] * 7.0
+    if kind == "exact-1e8":
+        # rounding noise now exceeds the sign zero band, so the loop runs on
+        a, b = a * 1e8, b * 1e8
+    return DataMatrix(b.reshape(-1, 1)), DataMatrix(a)
+
+
+def run_checked(b, a, p, lp_calls, seed=0, k=4):
+    problem = CheckedSubset(a.cols, p, lp_calls)
+    initial = kmeans_one_pass(DataMatrix(np.hstack([a.values, b.values])), k, seed)
+    return problem, run_aid(b, a, problem, initial, AidConfig(tol=0.0))
+
+
+class TestSubsetPruning:
+    @pytest.mark.parametrize(
+        "seed,kind", enumerate(["normal", "integer", "duplicated", "exact", "exact-1e8"])
+    )
+    def test_every_iterate_matches_unpruned_solve(self, seed, kind, lp_calls):
+        rng = np.random.default_rng(seed)
+        for m in (4, 5, 6):
+            for p in (1, 2, 3):
+                for trial in range(2):
+                    b, a = subset_instance(rng, 90, m, kind)
+                    problem, report = run_checked(b, a, p, lp_calls, seed=trial)
+                    assert len(problem.per_solve) == report.total_iterations
+                    assert problem.per_solve[0] == comb(m, p)
+
+    def test_later_iterations_solve_fewer_supports(self, lp_calls):
+        b, a = subset_instance(np.random.default_rng(7), 300, 6, "normal")
+        problem, report = run_checked(b, a, 2, lp_calls)
+        assert report.total_iterations >= 3
+        assert problem.per_solve[0] == 15
+        assert all(count < 15 for count in problem.per_solve[1:])
+
+    def test_reused_problem_gives_identical_reports(self, lp_calls):
+        b, a = subset_instance(np.random.default_rng(8), 200, 5, "normal")
+        problem = SubsetSelectionProblem(5, 2)
+        initial = kmeans_one_pass(DataMatrix(np.hstack([a.values, b.values])), 3, 0)
+        first = run_aid(b, a, problem, initial, AidConfig(tol=0.0))
+        second = run_aid(b, a, problem, initial, AidConfig(tol=0.0))
+        assert first.total_iterations >= 2
+        assert first.iterations == second.iterations
+        assert first.solution.support == second.solution.support
+        assert np.array_equal(first.solution.coefficients, second.solution.coefficients)
+        assert np.array_equal(first.solution.support_bounds, second.solution.support_bounds)
+
+    def test_skipped_supports_keep_their_bounds(self, rng):
+        a = rng.standard_normal((12, 4))
+        b = 5.0 * a[:, 1] + 0.1 * rng.standard_normal(12)
+        first = solve_subset_selection(make_agg(b, a), p=1)
+        assert first.support == (1,)
+        second = solve_subset_selection(make_agg(b, a), p=1, prior=(first, first.objective))
+        assert np.array_equal(second.support_bounds, first.support_bounds)
+        assert second.objective == first.objective
+
+    def test_incumbent_below_every_bound_raises(self, rng):
+        agg = make_agg(rng.standard_normal(8), rng.standard_normal((8, 3)))
+        first = solve_subset_selection(agg, p=2)
+        with pytest.raises(LowerBoundViolationError):
+            solve_subset_selection(agg, p=2, prior=(first, first.objective / 2 - 1.0))
+
+    def test_prior_of_other_size_rejected(self, rng):
+        agg = make_agg(rng.standard_normal(8), rng.standard_normal((8, 4)))
+        with pytest.raises(ValueError, match="bounds"):
+            solve_subset_selection(agg, p=2, prior=(solve_subset_selection(agg, p=1), 0.0))

@@ -34,6 +34,19 @@ def test_duals_solve_transposed_system():
     assert abs(res.duals @ rhs - res.objective) <= 1e-9
 
 
+def test_duals_are_feasible_and_close_the_gap(rng):
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        a = rng.uniform(0.1, 2.0, size=(rows, cols))
+        b = rng.uniform(0.0, 5.0, size=rows)
+        c = rng.standard_normal(cols)
+        a_eq, rhs, cost, basis = standard_lp(c, a, b)
+        res = primal_simplex(a_eq, rhs, cost, basis)
+        scale = 1.0 + np.abs(cost).max()
+        assert (cost - a_eq.T @ res.duals).min() >= -1e-9 * scale
+        assert abs(cost @ res.x - rhs @ res.duals) <= 1e-9 * (1.0 + abs(res.objective))
+
+
 def test_unbounded_detected():
     # min -x with x free to grow: constraint row 0*x + s = 1
     a_eq = np.array([[0.0, 1.0]])
