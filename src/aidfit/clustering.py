@@ -85,7 +85,9 @@ def residual_features(
 
     Rows with similar residuals across the fits tend to sit on the same side
     of the eventual regression surface, which is what the initial clusters
-    should capture.
+    should capture. Each distinct subset is fitted once, by the model that
+    draws it first; a model that draws it again reuses that residual
+    column, so the result keeps ``model_count`` columns.
     """
     if model_count < 1:
         raise ValueError("model_count must be at least 1")
@@ -95,7 +97,12 @@ def residual_features(
     targets = B.values[:, 0]
     subsets = random_column_subsets(A.cols, p, model_count, seed)
     out = np.empty((n, model_count))
+    first: dict[tuple[int, ...], int] = {}
     for c, subset in enumerate(subsets):
+        if subset in first:
+            out[:, c] = out[:, first[subset]]
+            continue
+        first[subset] = c
         features = A.values[:, list(subset)]
         coeffs = _fit_lad_coefficients(targets, features, seed=seed + c + 1)
         out[:, c] = targets - features @ coeffs
@@ -132,7 +139,12 @@ def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition
 def build_initial_partition(
     B: DataMatrix | None, A: DataMatrix, config: InitialClusterConfig
 ) -> ClusterPartition:
-    """Construct the starting partition for a run, per the configured features."""
+    """Construct the starting partition for a run, per the configured features.
+
+    A target of one cluster per row gives the singleton partition: k-means
+    would merge rows whose features coincide, such as the rows an exact fit
+    interpolates, whose residuals are all zero.
+    """
     if config.feature_source == "residuals":
         if B is None:
             raise ValueError("residual features need target data")
@@ -144,4 +156,6 @@ def build_initial_partition(
         features = A
     else:
         raise ValueError(f"unknown feature source {config.feature_source!r}")
+    if config.target_cluster_count == A.rows:
+        return ClusterPartition.singletons(A.rows)
     return kmeans_one_pass(features, config.target_cluster_count, config.seed)

@@ -54,6 +54,8 @@ __all__ = [
     "validate_report",
 ]
 
+# zero band of the sign check: absolute by default, and relative to
+# |b_i| + |f_i| per entry inside ``run_aid``, so it holds at every data scale
 DEFAULT_EPS_SIGN = 1e-9
 # n * machine epsilon at n = 2**20 rows; objectives are sums of up to n terms
 BOUND_SLACK_REL = 2.0**-32
@@ -282,7 +284,10 @@ class ProblemDefinition(abc.ABC):
         """Exactly solve the weighted problem on aggregated data.
 
         Returns a problem-specific solution object carrying ``objective``,
-        the optimal weighted value in the problem's natural sense.
+        the optimal weighted value in the problem's natural sense. A solver
+        that stops at a certified tolerance also carries ``certified_gap``,
+        so that ``objective - certified_gap`` is a proven lower bound on the
+        weighted optimum; the loop records that value as its bound.
 
         ``prior`` is None on a run's first solve. Later ``run_aid`` passes
         ``(previous, incumbent)``: the solution this method returned on the
@@ -436,14 +441,18 @@ def _residual(b: np.ndarray, fitted: np.ndarray) -> np.ndarray:
     return b - fitted
 
 
-def residual_signs(residual: np.ndarray, eps_sign: float = DEFAULT_EPS_SIGN) -> np.ndarray:
+def residual_signs(
+    residual: np.ndarray, eps_sign: float | np.ndarray = DEFAULT_EPS_SIGN
+) -> np.ndarray:
     """Sign pattern of an (n, q) residual B - F as an (n, q) int8 array of +1/-1.
 
-    Residuals in the zero band [-eps_sign, inf) count as +1.
+    Residuals in the zero band [-eps_sign, inf) count as +1. ``eps_sign`` is
+    a scalar or an array that broadcasts against the residual, one band per
+    entry.
     """
     if residual.ndim != 2:
         raise PartitionError(f"residual must be (n, q), got shape {residual.shape}")
-    if eps_sign < 0:
+    if np.any(eps_sign < 0):
         raise ValueError("eps_sign must be nonnegative")
     return np.where(residual >= -eps_sign, np.int8(1), np.int8(-1))
 
@@ -466,7 +475,7 @@ def check_optimality(
     problem: ProblemDefinition,
     solution,
     partition: ClusterPartition,
-    eps_sign: float = DEFAULT_EPS_SIGN,
+    eps_sign: float | np.ndarray = DEFAULT_EPS_SIGN,
     residual: np.ndarray | None = None,
 ) -> tuple[bool, list[int], np.ndarray]:
     """Test whether every cluster's rows share one residual sign pattern.
@@ -474,7 +483,8 @@ def check_optimality(
     ``residual`` is ``b - problem.apply_f(solution, a)`` when the caller
     already has it; otherwise it is evaluated here. Returns the verdict, the
     indices of clusters with two or more distinct patterns, and the (n, q)
-    int8 sign array from ``residual_signs``. A cluster disagrees exactly
+    int8 sign array from ``residual_signs``, with ``eps_sign`` its zero
+    band (a scalar, or one band per residual entry). A cluster disagrees exactly
     when the smallest and largest ``sign_codes`` of its rows differ.
     """
     if residual is None:
@@ -600,7 +610,11 @@ def run_aid(
 
     ``B`` and ``A`` are read as arrays once. Each iteration evaluates the
     fit on the full data once and forms the residual B - F once; that one
-    residual gives both the objective and the sign check. Every solve after
+    residual gives both the objective and the sign check, whose zero band is
+    ``DEFAULT_EPS_SIGN * (|B| + |F|)`` entry by entry, so rounding noise of
+    an exact fit reads as zero whatever the data's scale. The aggregated
+    bound is the solution's ``objective`` minus its ``certified_gap`` when it
+    carries one (see ``ProblemDefinition.solve_weighted``). Every solve after
     the first gets ``prior``: the previous solution and the incumbent's
     objective (see ``ProblemDefinition.solve_weighted``). Disagreeing
     clusters are split by ``decluster``. When a maximize-sense run's
@@ -640,8 +654,9 @@ def run_aid(
     for t in range(1, max_iters + 1):
         agg = aggregate(b, a, partition, previous=agg)
         solution = problem.solve_weighted(agg, config.solver, prior=prior)
-        bound = float(solution.objective)
-        residual = _residual(b, problem.apply_f(solution, a))
+        bound = float(solution.objective) - float(getattr(solution, "certified_gap", 0.0))
+        fitted = problem.apply_f(solution, a)
+        residual = _residual(b, fitted)
         objective = float(np.abs(residual).sum())
         if flip * objective < best_internal:
             best_internal = flip * objective
@@ -663,8 +678,9 @@ def run_aid(
                 upper_bound=upper,
             )
         )
+        band = DEFAULT_EPS_SIGN * (np.abs(b) + np.abs(fitted))
         satisfied, violating, signs = check_optimality(
-            b, a, problem, solution, partition, residual=residual
+            b, a, problem, solution, partition, band, residual=residual
         )
         if satisfied and partition.cluster_count == n:
             termination = "fully_disaggregated"

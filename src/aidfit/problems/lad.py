@@ -1,8 +1,25 @@
 """Exact weighted least-absolute-deviations regression and subset selection.
 
-The regression is solved as a linear program over split variables (positive
-and negative parts of the coefficients and of the per-row residuals), which
-always admits a starting basis of residual columns, so no phase-1 is needed.
+The regression min sum_i w_i |b_i - a_i @ x| is solved through its dual,
+
+    max b @ d  subject to  A^T d = 0,  |d_i| <= w_i,
+
+one equality row per coefficient and one boxed variable per data row, in
+the style of Barrodale and Roberts (1973). Writing d_i = sigma_i (w_i - z_i)
+with sigma_i the sign of b_i and z_i in [0, 2 w_i] makes z = 0 the dual of
+the fit x = 0, and the dual becomes the bounded LP
+
+    min sum_i |b_i| z_i  subject to  (sigma * A)^T z = sum_i sigma_i w_i a_i,
+
+with each row flipped so that its right-hand side is nonnegative. It is
+solved by ``simplex.primal_simplex`` from a basis of one artificial column
+per row, so a pivot touches about m x (k + m) cells for k data rows and m
+coefficients. The coefficients are the row multipliers, read off the
+artificial columns' reduced costs. Before the solve every column of A, the
+target and the weights are scaled by powers of two so that each one's
+largest magnitude lies in [1, 2); this is exact, fixes the simplex
+tolerances relative to each column's scale, and is undone on x and d.
+
 Subset selection enumerates every support of the requested size and solves
 the restricted regression exactly for each support that a previous solve's
 bounds cannot rule out.
@@ -55,13 +72,22 @@ class SubsetSolution:
     support_bounds: np.ndarray
 
 
+def _unit_exponents(values: np.ndarray) -> np.ndarray:
+    """Per column, the power of two that brings its largest magnitude into
+    [1, 2); zero for an all-zero column."""
+    peak = np.abs(values).max(axis=0, initial=0.0)
+    _, exponent = np.frexp(peak)
+    return np.where(peak > 0.0, 1 - exponent, 0)
+
+
 def weighted_lad_lp(
     b: np.ndarray, a: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly.
 
-    Returns the coefficient vector, the duals of the residual constraints
-    (oriented for the rows as given), and the recomputed objective.
+    Returns the coefficient vector, the dual vector d (|d_i| <= w_i,
+    ``a.T @ d == 0`` and ``b @ d`` equal to the optimum), and the objective
+    recomputed on the data as given.
     """
     n, m = a.shape
     if b.shape != (n,):
@@ -69,24 +95,27 @@ def weighted_lad_lp(
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    # columns: x+ (m), x- (m), e+ (n), e- (n)
-    flip = np.where(b < 0, -1.0, 1.0)
-    a_eq = np.zeros((n, 2 * m + 2 * n))
-    a_eq[:, :m] = a * flip[:, None]
-    a_eq[:, m : 2 * m] = -a * flip[:, None]
-    a_eq[np.arange(n), 2 * m + np.arange(n)] = -flip
-    a_eq[np.arange(n), 2 * m + n + np.arange(n)] = flip
-    rhs = b * flip
+    col_exp = _unit_exponents(a)
+    b_exp = int(_unit_exponents(b))
+    w_exp = int(_unit_exponents(weights))
+    a_s = np.ldexp(a, col_exp)
+    b_s = np.ldexp(b, b_exp)
+    w_s = np.ldexp(np.asarray(weights, dtype=float), w_exp)
 
-    cost = np.zeros(2 * m + 2 * n)
-    cost[2 * m :] = np.concatenate([weights, weights])
+    # d = sigma (w - z) with z in [0, 2w]; z = 0 is the dual of the fit x = 0
+    sigma = np.where(b_s < 0, -1.0, 1.0)
+    signed = a_s * sigma[:, None]
+    rhs = w_s @ signed
+    rho = np.where(rhs < 0, -1.0, 1.0)
+    matrix = np.hstack([(signed * rho).T, np.eye(m)])
+    cost = np.concatenate([np.abs(b_s), np.zeros(m)])
+    upper = np.concatenate([2.0 * w_s, np.zeros(m)])
+    result = primal_simplex(matrix, rhs * rho, cost, list(range(n, n + m)), upper=upper)
 
-    basis = [2 * m + n + i if flip[i] > 0 else 2 * m + i for i in range(n)]
-    result = primal_simplex(a_eq, rhs, cost, basis)
-
-    x = result.x[:m] - result.x[m : 2 * m]
+    # the row multipliers are the scaled coefficients, up to each row's flip
+    x = np.ldexp(rho * result.duals, col_exp - b_exp)
+    duals = np.ldexp(sigma * (w_s - result.x[:n]), -w_exp)
     objective = float(weights @ np.abs(b - a @ x))
-    duals = result.duals * flip
     return x, duals, objective
 
 

@@ -1,9 +1,29 @@
-"""Dense primal simplex for equality-form LPs with a known starting basis.
+"""Dense bounded-variable primal simplex from a basis of identity columns.
 
-Pivot selection follows Bland's rule throughout (lowest eligible variable
-index in, lowest basic variable index among minimum-ratio rows out), so the
-solve terminates on degenerate instances and the optimal basis is
-deterministic.
+Solves ``min c @ x`` subject to ``a @ x == b`` and ``0 <= x <= upper``.
+Every nonbasic variable sits at one of its bounds. An improving variable
+either moves to its other bound, a *bound flip* that only shifts the basic
+values (O(rows) work, counted in ``flips``), or enters the basis by a
+*pivot* that updates the rows x (cols + 1) tableau (counted in ``pivots``).
+
+Start-basis columns with an upper bound of zero are artificial. A first
+phase minimizes their sum; once they are zero they are fixed there and
+never priced again, and the second phase minimizes ``c @ x``.
+
+Pricing is Dantzig's rule: the largest reduced-cost violation enters, ties
+to the lowest column index. After ``STALL_PIVOTS`` degenerate pivots in a
+row it hands over to Bland's rule (lowest eligible column in, lowest basic
+variable among the minimum-ratio rows out), which cannot cycle, until a
+step makes progress again. Leaving-row ties always go to the lowest basic
+variable, so the optimal basis is deterministic.
+
+Tolerances are absolute: an entry of magnitude at most ``PIVOT_TOL`` is not
+a pivot candidate, and a reduced cost must exceed ``REDUCED_COST_TOL`` to
+improve. They suit data whose entries, costs and bounds are of order one.
+``lad.weighted_lad_lp`` scales its columns, target and weights by powers of
+two so that each one's largest magnitude lies in [1, 2), which makes both
+tolerances relative to the scale of each column of the original data, and
+scaling by powers of two rounds nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +36,8 @@ __all__ = ["SimplexResult", "SimplexError", "UnboundedError", "CycleGuardError",
 
 REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# degenerate pivots in a row before pricing falls back to Bland's rule
+STALL_PIVOTS = 10
 
 
 class SimplexError(RuntimeError):
@@ -23,11 +45,11 @@ class SimplexError(RuntimeError):
 
 
 class UnboundedError(SimplexError):
-    """No leaving row exists for an improving column."""
+    """No leaving row or bound limits an improving column."""
 
 
 class CycleGuardError(SimplexError):
-    """Iteration cap exceeded, which Bland's rule should make impossible."""
+    """Iteration cap exceeded, which the Bland fallback should make impossible."""
 
 
 @dataclass(frozen=True)
@@ -37,6 +59,7 @@ class SimplexResult:
     basis: tuple[int, ...]
     duals: np.ndarray
     pivots: int
+    flips: int
 
 
 def primal_simplex(
@@ -45,74 +68,129 @@ def primal_simplex(
     c: np.ndarray,
     basis: list[int],
     max_pivots: int | None = None,
+    upper: np.ndarray | None = None,
 ) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``a @ x == b``, ``x >= 0``.
+    """Minimize ``c @ x`` subject to ``a @ x == b``, ``0 <= x <= upper``.
 
     ``basis`` must index columns forming the identity in order (basic
-    variable of row i has coefficient 1 in row i, 0 elsewhere) and ``b``
-    must be nonnegative, which the LAD formulation guarantees by
-    construction.
+    variable of row i has coefficient 1 in row i, 0 elsewhere), ``b`` must
+    be nonnegative, and every other variable starts at zero. ``upper``
+    defaults to no bound. A start-basis column whose upper bound is zero is
+    artificial and may start above it; every other basic value must lie
+    within its bounds. ``max_pivots`` caps pivots plus bound flips.
 
-    The duals y (with ``a.T @ y <= c`` at the optimum and ``b @ y`` equal to
-    the objective) are read off the final reduced costs: the starting basis
-    columns form the identity, so their reduced costs are ``c - y``.
+    The duals y (with reduced costs ``c - a.T @ y`` nonnegative at a
+    variable's lower bound and nonpositive at its upper bound, any sign for
+    fixed variables) are read off the final reduced costs: the starting
+    basis columns form the identity, so their reduced costs are ``c - y``.
     """
     n_rows, n_cols = a.shape
+    b = np.asarray(b, dtype=float)
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
-    tableau = np.hstack([a.astype(float, copy=True), b.reshape(-1, 1).astype(float)])
     start = np.array(basis, dtype=np.int64)
-
-    # reduced cost row: z_j = c_j - c_B @ T[:, j]
-    c_basis = c[start]
-    zrow = c.astype(float, copy=True) - c_basis @ tableau[:, :-1]
-
+    upper = np.full(n_cols, np.inf) if upper is None else np.array(upper, dtype=float)
+    if np.any(upper < 0):
+        raise ValueError("upper bounds must be nonnegative")
+    artificial = upper[start] == 0.0
+    if np.any(b[~artificial] > upper[start[~artificial]]):
+        raise ValueError("a starting basic value exceeds its upper bound")
     if max_pivots is None:
         max_pivots = max(20_000, 200 * (n_rows + n_cols))
 
-    basis_arr = start.copy()
-    pivots = 0
-    while True:
-        improving = np.flatnonzero(zrow < -REDUCED_COST_TOL)
-        if improving.size == 0:
-            break
-        entering = int(improving[0])
+    # constraint rows, then the reduced-cost row, so one update pivots both
+    tableau = np.vstack([a.astype(float), np.zeros(n_cols)])
+    zrow = tableau[n_rows]
+    # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
+    # or fixed: the direction in which the variable may move
+    sense = (upper > 0.0).astype(float)
+    sense[start] = 0.0
+    phase_one = bool(artificial.any())
+    phase_cost = np.zeros(n_cols)
+    phase_cost[start[artificial]] = 1.0
+    cost = phase_cost if phase_one else c
+    zrow[:] = cost - cost[start] @ tableau[:n_rows]
 
-        col = tableau[:, entering]
-        eligible = col > PIVOT_TOL
-        if not eligible.any():
-            raise UnboundedError("objective unbounded below (no positive pivot entry)")
-        ratios = np.full(n_rows, np.inf)
-        ratios[eligible] = tableau[eligible, -1] / col[eligible]
-        best_ratio = ratios.min()
-        ties = np.flatnonzero(ratios == best_ratio)
-        leaving = int(ties[np.argmin(basis_arr[ties])])
+    # the ratio test walks the rows in Python: there are few of them (one
+    # per coefficient in the LAD dual), and per-row numpy calls cost more
+    bounds = upper.tolist()
+    values = b.tolist()
+    basic = start.tolist()
+    # bound on each basic value; artificials are unbounded in phase one
+    caps = [np.inf if art else bounds[j] for j, art in zip(basic, artificial.tolist())]
+
+    pivots = flips = stalled = 0
+    while True:
+        score = sense * zrow
+        if stalled >= STALL_PIVOTS:
+            eligible = np.flatnonzero(score < -REDUCED_COST_TOL)
+            entering = int(eligible[0]) if eligible.size else -1
+        else:
+            entering = int(score.argmin()) if n_cols else -1
+            if entering >= 0 and score[entering] >= -REDUCED_COST_TOL:
+                entering = -1
+        if entering < 0:
+            if not phase_one:
+                break
+            infeasibility = sum(v for v, j in zip(values, basic) if bounds[j] == 0.0)
+            if infeasibility > PIVOT_TOL * (1.0 + float(b.sum())):
+                raise SimplexError(f"no feasible point (phase one ends at {infeasibility:.3e})")
+            phase_one = False
+            caps = [bounds[j] for j in basic]
+            stalled = 0
+            zrow[:] = c - c[basic] @ tableau[:n_rows]
+            continue
+        if pivots + flips >= max_pivots:
+            raise CycleGuardError(f"exceeded {max_pivots} pivots and flips")
+
+        # moving the entering variable by t in ``direction`` moves basic value
+        # i by -t * alpha[i]; each row limits t by the bound it runs into
+        direction = float(sense[entering])
+        alpha = (direction * tableau[:n_rows, entering]).tolist()
+        step, row = np.inf, -1
+        for i, rate in enumerate(alpha):
+            if rate > PIVOT_TOL:
+                limit = max(values[i], 0.0) / rate
+            elif rate < -PIVOT_TOL and caps[i] != np.inf:
+                limit = max(caps[i] - values[i], 0.0) / -rate
+            else:
+                continue
+            if limit < step or (limit == step and basic[i] < basic[row]):
+                step, row = limit, i
+        bound = bounds[entering]
+        if bound <= step:
+            if bound == np.inf:
+                raise UnboundedError("objective unbounded below (no limiting row or bound)")
+            flips += 1
+            values = [v - bound * rate for v, rate in zip(values, alpha)]
+            sense[entering] = -direction
+            stalled = 0
+            continue
 
         pivots += 1
-        if pivots > max_pivots:
-            raise CycleGuardError(f"exceeded {max_pivots} pivots")
+        stalled = stalled + 1 if step <= PIVOT_TOL else 0
+        leaving = basic[row]
+        values = [v - step * rate for v, rate in zip(values, alpha)]
+        values[row] = step if direction > 0 else bound - step
+        if bounds[leaving] == 0.0:
+            sense[leaving] = 0.0
+        else:
+            sense[leaving] = -1.0 if alpha[row] < 0 else 1.0
+        sense[entering] = 0.0
+        basic[row] = entering
+        caps[row] = bound
 
-        pivot_val = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot_val
-        pivot_row = tableau[leaving, :]
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        tableau -= np.outer(factors, pivot_row)
-        z_factor = zrow[entering]
-        zrow -= z_factor * pivot_row[:-1]
-        zrow[entering] = 0.0
-        basis_arr[leaving] = entering
+        pivot_row = tableau[row] / tableau[row, entering]
+        tableau -= tableau[:, entering, None] * pivot_row
+        tableau[row] = pivot_row
 
-    basis_out = [int(v) for v in basis_arr]
-    x = np.zeros(n_cols)
-    for i, var in enumerate(basis_out):
-        x[var] = tableau[i, -1]
-
-    duals = c[start] - zrow[start]
+    x = np.where(sense < 0, upper, 0.0)
+    x[basic] = values
     return SimplexResult(
         x=x,
         objective=float(c @ x),
-        basis=tuple(basis_out),
-        duals=duals,
+        basis=tuple(int(v) for v in basic),
+        duals=c[start] - zrow[start],
         pivots=pivots,
+        flips=flips,
     )

@@ -55,6 +55,31 @@ def lad_vertex_oracle(b: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
     return best
 
 
+def boxed_lp_vertex_oracle(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray
+) -> float:
+    """min c x over a x = b, 0 <= x <= upper (all finite) by vertex enumeration.
+
+    Every vertex has a set of basic columns, one per row, with the others at
+    one of their bounds; returns inf when no vertex is feasible.
+    """
+    rows, cols = a.shape
+    best = np.inf
+    for basis in itertools.combinations(range(cols), rows):
+        sub = a[:, list(basis)]
+        if abs(np.linalg.det(sub)) < 1e-9:
+            continue
+        others = [j for j in range(cols) if j not in basis]
+        for at_upper in itertools.product((False, True), repeat=len(others)):
+            x = np.zeros(cols)
+            for j, up in zip(others, at_upper):
+                x[j] = upper[j] if up else 0.0
+            x[list(basis)] = np.linalg.solve(sub, b - a @ x)
+            if (x >= -1e-9).all() and (x <= upper + 1e-9).all():
+                best = min(best, float(c @ x))
+    return best
+
+
 def lad_grid_oracle(
     b: np.ndarray, a: np.ndarray, w: np.ndarray, span: float = 20.0
 ) -> float:

@@ -10,6 +10,7 @@ from aidfit.clustering import (
     random_column_subsets,
     residual_features,
 )
+from aidfit.core import ClusterPartition
 from aidfit.linalg import DataMatrix
 from aidfit.problems.lad import solve_weighted_lad
 from conftest import make_agg
@@ -86,6 +87,30 @@ class TestResidualFeatures:
             assert np.abs(feats.values[:, c] - (b - sub @ coeffs)).max() <= 1e-12
 
 
+    @pytest.mark.parametrize("m, p", [(3, 3), (3, 2), (6, 2)])
+    def test_each_distinct_subset_fitted_once(self, rng, monkeypatch, m, p):
+        import aidfit.clustering as clustering
+
+        fits = []
+        original = clustering._fit_lad_coefficients
+
+        def counting(targets, features, seed):
+            fits.append(seed)
+            return original(targets, features, seed)
+
+        monkeypatch.setattr(clustering, "_fit_lad_coefficients", counting)
+        a = rng.standard_normal((30, m))
+        b = rng.standard_normal((30, 1))
+        feats = residual_features(DataMatrix(b), DataMatrix(a), p=p, model_count=5, seed=3)
+        subsets = random_column_subsets(m, p, 5, 3)
+        first = {s: subsets.index(s) for s in subsets}
+        # the first model to draw a subset fits it, with that model's seed
+        assert fits == [3 + c + 1 for c in sorted(first.values())]
+        assert feats.cols == 5
+        for c, subset in enumerate(subsets):
+            assert np.array_equal(feats.values[:, c], feats.values[:, first[subset]])
+
+
 class TestPcaProjectionFeatures:
     def test_orthogonal_columns_pick_larger(self):
         col1 = np.array([3.0, 0.0, 0.0])
@@ -134,3 +159,15 @@ class TestBuildInitialPartition:
         a = DataMatrix(rng.standard_normal((10, 2)))
         with pytest.raises(ValueError):
             build_initial_partition(None, a, InitialClusterConfig(2, "residuals", 0))
+
+    def test_one_cluster_per_row_is_singletons_despite_equal_features(self, rng):
+        # an exact fit interpolates some rows, whose residual features are all zero
+        a = rng.standard_normal((12, 3))
+        b = a @ np.array([1.0, -2.0, 0.5])
+        b[[0, 5]] += 1.0
+        for source in ("residuals", "raw_data"):
+            features = np.vstack([a[:11], a[:1]]) if source == "raw_data" else a
+            part = build_initial_partition(
+                DataMatrix(b.reshape(-1, 1)), DataMatrix(features), InitialClusterConfig(12, source, 3)
+            )
+            assert part == ClusterPartition.singletons(12)

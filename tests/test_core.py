@@ -27,6 +27,7 @@ from aidfit.clustering import (
     InitialClusterConfig,
     build_initial_partition,
     default_initial_cluster_count,
+    kmeans_one_pass,
 )
 from aidfit.data_io import SyntheticSpec, generate_instance
 from aidfit.linalg import DataMatrix, matmul
@@ -328,23 +329,59 @@ class TestOptimalityGap:
             optimality_gap(0.0, 2e-12)
 
 
-class TestScaledSweep:
-    """One lad instance, A and B scaled together, over 12 k-means seeds and
-    two feature sources: rounding in the bound must never read as a violation."""
+def sweep_reports(B, A):
+    """One run per k-means seed (12) and feature source (residuals, raw data)."""
+    k = default_initial_cluster_count(B.rows)
+    for seed in range(12):
+        for source in ("residuals", "raw_data"):
+            part = build_initial_partition(B, A, InitialClusterConfig(k, source, seed))
+            yield run_aid(B, A, LadRegressionProblem(), part, AidConfig(tol=0.0))
 
-    @pytest.mark.parametrize("scale", [1e3, 1e6])
+
+def assert_certified_optimum(report, truth):
+    """Not a false certificate: a certified stop at the direct optimum."""
+    validate_report(report, tol=0.0)
+    assert report.termination in ("optimality_condition", "fully_disaggregated")
+    assert abs(report.best_objective - truth) <= 1e-9 * truth
+
+
+class TestScaledSweep:
+    """One lad instance scaled as a whole or per column, over 12 k-means
+    seeds and two feature sources: every run must certify the optimum of
+    the unscaled data, times the scale, and none may raise."""
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e3, 1e6])
     def test_no_bound_violation_at_scale(self, scale):
         a, b, _ = generate_instance(SyntheticSpec(n=300, m=2, informative_p=2, seed=3))
+        truth = solve_weighted_lad(make_agg(b.values, a.values)).objective * scale
         A, B = DataMatrix(a.values * scale), DataMatrix(b.values * scale)
-        k = default_initial_cluster_count(300)
         objectives = []
-        for seed in range(12):
-            for source in ("residuals", "raw_data"):
-                part = build_initial_partition(B, A, InitialClusterConfig(k, source, seed))
-                report = run_aid(B, A, LadRegressionProblem(), part, AidConfig(tol=0.0))
-                validate_report(report, tol=0.0)
-                objectives.append(report.best_objective)
+        for report in sweep_reports(B, A):
+            assert_certified_optimum(report, truth)
+            objectives.append(report.best_objective)
         assert max(objectives) - min(objectives) <= 1e-12 * max(objectives)
+
+    @pytest.mark.parametrize(
+        "column_scales", [(1e6, 1.0, 1e-6), (1e-6, 1e-6, 1.0), (1e3, 1e-3, 1e6)]
+    )
+    def test_certificates_hold_under_column_scales(self, column_scales):
+        a, b, _ = generate_instance(SyntheticSpec(n=300, m=3, informative_p=3, seed=3))
+        truth = solve_weighted_lad(make_agg(b.values, a.values)).objective
+        A = DataMatrix(a.values * np.array(column_scales))
+        for report in sweep_reports(b, A):
+            assert_certified_optimum(report, truth)
+
+    def test_exact_fit_at_large_scale_certifies_at_first_iteration(self):
+        rng = np.random.default_rng(20240817)
+        a = rng.standard_normal((200, 4))
+        b = a[:, 1] * 3.0 - a[:, 2] * 7.0
+        for scale in (1.0, 1e8):
+            A, B = DataMatrix(a * scale), DataMatrix(b.reshape(-1, 1) * scale)
+            for seed in range(10):
+                initial = kmeans_one_pass(DataMatrix(np.hstack([A.values, B.values])), 4, seed)
+                report = run_aid(B, A, LadRegressionProblem(), initial, AidConfig(tol=0.0))
+                assert report.termination == "optimality_condition"
+                assert (report.total_iterations, report.final_cluster_count) == (1, 4)
 
 
 def lad_instance(rng, n=40, m=3):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from aidfit.clustering import kmeans_one_pass
+from aidfit.core import AidConfig, SolverConfig, run_aid
+from aidfit.linalg import DataMatrix
+from aidfit.problems import SphereRegressionProblem
 from aidfit.problems.lad import solve_weighted_lad
 from aidfit.problems.sphere import (
     SphereNotConvergedError,
@@ -105,3 +109,34 @@ class TestContract:
             solve_sphere_lad(agg, radius=-1.0)
         with pytest.raises(ValueError):
             solve_sphere_lad(agg, radius=1.0, tol=0.0)
+
+
+class RecordingSphere(SphereRegressionProblem):
+    def __init__(self, radius):
+        super().__init__(radius)
+        self.solves = []
+
+    def solve_weighted(self, agg, config, prior=None):
+        solution = super().solve_weighted(agg, config, prior)
+        self.solves.append((agg, solution))
+        return solution
+
+
+class TestAggregatedBound:
+    def test_recorded_bound_lies_below_the_aggregated_optimum(self, rng):
+        # a loose solver tolerance leaves the primal objectives above the
+        # aggregated optima; the recorded bound must still lie below them
+        checked = 0
+        for seed in range(6):
+            a = rng.standard_normal((120, 3))
+            b = a @ np.array([4.0, -3.0, 2.0]) + rng.standard_normal(120)
+            problem = RecordingSphere(radius=9.0)
+            initial = kmeans_one_pass(DataMatrix(np.hstack([a, b[:, None]])), 6, seed)
+            config = AidConfig(tol=0.0, solver=SolverConfig(sphere_tol=1e-4))
+            report = run_aid(DataMatrix(b[:, None]), DataMatrix(a), problem, initial, config)
+            for rec, (agg, solution) in zip(report.iterations, problem.solves):
+                assert rec.aggregated_objective == solution.objective - solution.certified_gap
+                optimum = solve_sphere_lad(agg, radius=9.0, tol=1e-12).objective
+                assert rec.aggregated_objective <= optimum * (1.0 + 1e-12)
+                checked += solution.certified_gap > 1e-9 * optimum
+        assert checked > 0
