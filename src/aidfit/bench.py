@@ -144,9 +144,9 @@ class RunSettings:
     max_iters: int | None = None
     p: int | None = None
     radius: float | None = None
-    sphere_tol: float = 1e-7
-    subset_cap: int = 10**6
-    pca_cap: int = 2**26
+    sphere_tol: float = SolverConfig.sphere_tol
+    subset_cap: int = SolverConfig.subset_cap
+    pca_cap: int = SolverConfig.pca_cap
     standardize: bool = False
 
     def solver_config(self) -> SolverConfig:

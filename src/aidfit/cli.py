@@ -21,7 +21,7 @@ from .bench import (
     run_solve,
     write_report,
 )
-from .core import IterationLimitError
+from .core import IterationLimitError, SolverConfig
 from .data_io import CsvFormatError, SyntheticSpec, write_instance_bundle
 from .problems import InstanceTooLargeError, SphereNotConvergedError
 
@@ -38,15 +38,24 @@ def _default_out(name: str) -> Path:
     return base / name
 
 
-def _parse_instance(text: str) -> SyntheticSpec | str:
-    """A JSON object is an inline spec; anything else is a bundle path."""
+def _inline_json_or_path(text: str) -> object | Path:
+    """Parsed JSON when ``text`` starts with '{' or '[', else the path it
+    names; inline JSON is never probed as a path, whatever its length."""
     stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            return SyntheticSpec.from_dict(json.loads(stripped))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise CsvFormatError(f"bad inline instance spec: {exc}") from exc
-    return text
+    return json.loads(stripped) if stripped.startswith(("{", "[")) else Path(text)
+
+
+def _load_json(text: str) -> object:
+    """Inline JSON, or the JSON file that ``text`` names."""
+    value = _inline_json_or_path(text)
+    return json.loads(value.read_text()) if isinstance(value, Path) else value
+
+
+def _spec(value: object) -> SyntheticSpec:
+    try:
+        return SyntheticSpec.from_dict(value)
+    except (TypeError, ValueError) as exc:
+        raise CsvFormatError(f"bad instance spec: {exc}") from exc
 
 
 def _add_common_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -64,9 +73,9 @@ def _add_common_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--models", type=int, default=5, help="residual feature fits")
     parser.add_argument("--feature-p", type=int, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--sphere-tol", type=float, default=1e-7)
-    parser.add_argument("--subset-cap", type=int, default=10**6)
-    parser.add_argument("--pca-cap", type=int, default=2**26)
+    parser.add_argument("--sphere-tol", type=float, default=SolverConfig.sphere_tol)
+    parser.add_argument("--subset-cap", type=int, default=SolverConfig.subset_cap)
+    parser.add_argument("--pca-cap", type=int, default=SolverConfig.pca_cap)
     parser.add_argument("--standardize", action="store_true")
 
 
@@ -92,7 +101,8 @@ def _settings_from_args(args: argparse.Namespace) -> RunSettings:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     settings = _settings_from_args(args)
-    instance = _parse_instance(args.instance)
+    value = _inline_json_or_path(args.instance)
+    instance = args.instance if isinstance(value, Path) else _spec(value)
     report = run_solve(settings, instance)
     out = Path(args.out) if args.out else _default_out("solve_report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -134,7 +144,7 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    grid = json.loads(Path(args.grid).read_text()) if Path(args.grid).exists() else json.loads(args.grid)
+    grid = _load_json(args.grid)
     settings = _settings_from_args(args)
     rows, aggregates = run_benchmark(
         args.problem,
@@ -168,8 +178,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec_text = Path(args.spec).read_text() if Path(args.spec).exists() else args.spec
-    spec = SyntheticSpec.from_dict(json.loads(spec_text))
+    spec = _spec(_load_json(args.spec))
     out = Path(args.out) if args.out else _default_out("instance")
     manifest = write_instance_bundle(spec, out)
     print(f"wrote {manifest}")

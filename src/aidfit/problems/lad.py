@@ -19,6 +19,8 @@ artificial columns' reduced costs. Before the solve every column of A, the
 target and the weights are scaled by powers of two so that each one's
 largest magnitude lies in [1, 2); this is exact, fixes the simplex
 tolerances relative to each column's scale, and is undone on x and d.
+Linear constraints g @ x <= limit, the ball's tangent cuts in ``sphere``,
+each add one dual column g with cost ``limit`` and no upper bound.
 
 Subset selection enumerates every support of the requested size and solves
 the restricted regression exactly for each support that a previous solve's
@@ -33,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from ..core import AggregatedInstance, LowerBoundViolationError, bound_slack
+from ..core import AggregatedInstance, LowerBoundViolationError, SolverConfig, bound_slack
 from .simplex import primal_simplex
 
 __all__ = [
@@ -81,12 +83,18 @@ def _unit_exponents(values: np.ndarray) -> np.ndarray:
 
 
 def weighted_lad_lp(
-    b: np.ndarray, a: np.ndarray, weights: np.ndarray
+    b: np.ndarray,
+    a: np.ndarray,
+    weights: np.ndarray,
+    cuts: np.ndarray | None = None,
+    limit: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly.
+    """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly, subject to
+    ``g @ x <= limit`` for each row g of ``cuts``.
 
-    Returns the coefficient vector, the dual vector d (|d_i| <= w_i,
-    ``a.T @ d == 0`` and ``b @ d`` equal to the optimum), and the objective
+    Returns the coefficient vector, the dual vector d (|d_i| <= w_i; without
+    cuts ``a.T @ d == 0`` and ``b @ d`` equals the optimum, with cuts
+    ``a.T @ d`` is a nonnegative combination of them), and the objective
     recomputed on the data as given.
     """
     n, m = a.shape
@@ -107,9 +115,11 @@ def weighted_lad_lp(
     signed = a_s * sigma[:, None]
     rhs = w_s @ signed
     rho = np.where(rhs < 0, -1.0, 1.0)
-    matrix = np.hstack([(signed * rho).T, np.eye(m)])
-    cost = np.concatenate([np.abs(b_s), np.zeros(m)])
-    upper = np.concatenate([2.0 * w_s, np.zeros(m)])
+    # a cut g @ x <= limit reads g @ x_s <= limit in the scaled coefficients
+    g = np.empty((0, m)) if cuts is None else np.ldexp(cuts, col_exp - b_exp)
+    matrix = np.hstack([(signed * rho).T, np.eye(m), (g * rho).T])
+    cost = np.concatenate([np.abs(b_s), np.zeros(m), np.full(len(g), limit)])
+    upper = np.concatenate([2.0 * w_s, np.zeros(m), np.full(len(g), np.inf)])
     result = primal_simplex(matrix, rhs * rho, cost, list(range(n, n + m)), upper=upper)
 
     # the row multipliers are the scaled coefficients, up to each row's flip
@@ -130,7 +140,7 @@ def solve_weighted_lad(agg: AggregatedInstance) -> RegressionSolution:
 def solve_subset_selection(
     agg: AggregatedInstance,
     p: int,
-    cap: int = 10**6,
+    cap: int = SolverConfig.subset_cap,
     prior: tuple[SubsetSolution, float] | None = None,
 ) -> SubsetSolution:
     """Exact best-subset LAD: try every support of size p, keep the best.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregatedInstance
+from ..core import AggregatedInstance, SolverConfig
 from ..linalg import DataMatrix
 from .lad import InstanceTooLargeError
 
@@ -250,7 +250,7 @@ def principal_halves(
     return tuple(idx[upper].tolist()), tuple(idx[~upper].tolist())
 
 
-def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
+def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = SolverConfig.pca_cap) -> PcaSolution:
     """Globally maximize ||A X||_1 over m-by-p X with orthonormal columns.
 
     Sign matrices are scored by the nuclear norm of A^T S; ties keep the
@@ -289,7 +289,7 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = 2**26) -> PcaSolution:
     return PcaSolution(components=components, objective=objective, sign_matrix=signs)
 
 
-def solve_weighted_l1pca(agg: AggregatedInstance, p: int, cap: int = 2**26) -> PcaSolution:
+def solve_weighted_l1pca(agg: AggregatedInstance, p: int, cap: int = SolverConfig.pca_cap) -> PcaSolution:
     """Solve the cluster-weighted PCA problem through the row-scaling reduction."""
     scaled = weighted_to_unweighted_pca(agg)
     unweighted = solve_l1pca_exact(scaled, p, cap)

@@ -359,6 +359,28 @@ class TestCli:
         lines = (out / "results.jsonl").read_text().strip().split("\n")
         assert len(lines) == 3  # two rows plus one aggregate
 
+    def test_long_inline_grid_and_spec(self, tmp_path):
+        # inline JSON longer than a file name may be is never probed as a path
+        padding = " " * 300
+        grid = '{"n": [20],' + padding + '"m": [2]}'
+        args = ["--reps", "1", "--no-direct", "--out", str(tmp_path / "bench")]
+        assert main(["benchmark", "--problem", "lad", "--grid", grid] + args) == EXIT_OK
+        spec = json.dumps(tiny_spec(2).to_dict()).replace(",", "," + padding, 1)
+        bundle = tmp_path / "inst"
+        assert main(["generate", "--spec", spec, "--out", str(bundle)]) == EXIT_OK
+        assert (bundle / "manifest.json").exists()
+
+    def test_malformed_inline_json_is_input_error(self, tmp_path):
+        out = ["--out", str(tmp_path / "x")]
+        assert main(["benchmark", "--problem", "lad", "--grid", '{"n": [20],'] + out) == (
+            EXIT_INPUT_ERROR
+        )
+        assert main(["generate", "--spec", '{"n": 20,'] + out) == EXIT_INPUT_ERROR
+        assert main(["generate", "--spec", '{"nope": 1}'] + out) == EXIT_INPUT_ERROR
+        assert main(["solve", "--problem", "lad", "--instance", '{"n": 20,'] + out) == (
+            EXIT_INPUT_ERROR
+        )
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIDFIT_OUT", str(tmp_path))
         code = main(

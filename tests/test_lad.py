@@ -66,6 +66,31 @@ class TestWeightedLad:
         scaled = solve_weighted_lad(make_agg(b, a, 3 * w))
         assert scaled.objective == pytest.approx(3 * base.objective, rel=1e-9)
 
+    def test_interval_cuts_match_breakpoint_scan(self, rng):
+        # cuts x <= L and -x <= L confine one coefficient to [-L, L]; the
+        # optimum of a convex piecewise-linear objective there lies at a
+        # breakpoint inside or at an end of the interval
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            a = rng.standard_normal((n, 1))
+            b = a[:, 0] * rng.uniform(-8, 8) + rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n).astype(float)
+            limit = float(rng.uniform(0.1, 5.0))
+            x, _, objective = lad.weighted_lad_lp(b, a, w, np.array([[1.0], [-1.0]]), limit)
+            assert abs(x[0]) <= limit * (1 + 1e-12)
+            points = np.concatenate([np.clip(b / a[:, 0], -limit, limit), [-limit, limit]])
+            best = min(float(w @ np.abs(b - a[:, 0] * t)) for t in points)
+            assert abs(objective - best) <= 1e-9 * (1 + best)
+
+    def test_no_cuts_is_the_plain_lp(self, rng):
+        a = rng.standard_normal((15, 3))
+        b = rng.standard_normal(15)
+        w = rng.integers(1, 4, size=15).astype(float)
+        plain = lad.weighted_lad_lp(b, a, w)
+        empty = lad.weighted_lad_lp(b, a, w, np.empty((0, 3)), 1.0)
+        for left, right in zip(plain, empty):
+            assert np.array_equal(left, right)
+
     def test_rejects_multi_column_target(self, rng):
         agg = make_agg(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):

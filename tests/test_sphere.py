@@ -98,7 +98,7 @@ class TestContract:
         a = rng.standard_normal((20, 2))
         b = a @ np.array([9.0, -7.0]) + rng.standard_normal(20)
         with pytest.raises(SphereNotConvergedError) as err:
-            solve_sphere_lad(make_agg(b, a), radius=1.0, tol=1e-12, max_iters=10)
+            solve_sphere_lad(make_agg(b, a), radius=1.0, tol=1e-12, max_iters=1)
         sol = err.value.solution
         assert float(sol.coefficients @ sol.coefficients) <= 1.0 + 1e-9
         assert sol.certified_gap > 0
@@ -109,6 +109,62 @@ class TestContract:
             solve_sphere_lad(agg, radius=-1.0)
         with pytest.raises(ValueError):
             solve_sphere_lad(agg, radius=1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            solve_sphere_lad(agg, radius=1.0, max_iters=0)
+
+
+class TestExactFitsAndScale:
+    def test_interpolant_inside_ball(self, rng):
+        # fewer rows than coefficients: every interpolant fits exactly, the
+        # LP's vertex lies outside the ball and the minimum-norm one inside,
+        # where the snap has no direction left to move in
+        checked = 0
+        for _ in range(40):
+            k = int(rng.integers(1, 4))
+            m = int(rng.integers(k + 1, 6))
+            a = rng.standard_normal((k, m))
+            b = 5.0 * rng.standard_normal(k)
+            x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+            radius = 1.5 * float(x0 @ x0)
+            vertex = solve_weighted_lad(make_agg(b, a)).coefficients
+            if float(vertex @ vertex) <= radius:
+                continue
+            sol = solve_sphere_lad(make_agg(b, a), radius=radius, tol=1e-11)
+            assert float(sol.coefficients @ sol.coefficients) <= radius * (1 + 1e-12)
+            assert sol.objective <= 1e-12 * (1 + float(np.abs(b).sum()))
+            checked += 1
+        assert checked >= 20
+
+    def test_scaled_exact_fits(self, rng):
+        # n <= m rows fit exactly; A and b scaled together scale the optimum
+        for _ in range(30):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(1, m + 1))
+            a = rng.standard_normal((n, m))
+            b = 3.0 * rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n)
+            x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+            radius = float(x0 @ x0) * float(rng.uniform(0.3, 3.0))
+            base = solve_sphere_lad(make_agg(b, a, w), radius=radius).objective
+            for scale in (1e3, 1e6):
+                sol = solve_sphere_lad(make_agg(b * scale, a * scale, w), radius=radius)
+                assert abs(sol.objective - scale * base) <= 1e-9 * scale * (1 + base)
+
+    def test_power_of_two_scaling(self, rng):
+        # the LP is exactly scale-free under powers of two; the stop test
+        # is not, so compare through the certified gaps
+        scale = 2.0**-30
+        for _ in range(60):
+            n = int(rng.integers(4, 40))
+            m = int(rng.integers(1, 5))
+            a = rng.standard_normal((n, m))
+            b = a @ rng.uniform(0, 10, m) + rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n)
+            radius = float(rng.uniform(0.5, 50.0))
+            base = solve_sphere_lad(make_agg(b, a, w), radius=radius, tol=1e-11)
+            sol = solve_sphere_lad(make_agg(b * scale, a * scale, w), radius=radius, tol=1e-11)
+            slack = sol.certified_gap + scale * (base.certified_gap + 1e-12 * base.objective)
+            assert abs(sol.objective - scale * base.objective) <= slack
 
 
 class RecordingSphere(SphereRegressionProblem):
