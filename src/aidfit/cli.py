@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -243,6 +244,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except (CsvFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # a path argument longer than a file name may be names no input
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

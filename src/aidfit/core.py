@@ -97,11 +97,11 @@ class ClusterPartition:
 
     ``ClusterPartition(n, clusters)`` and ``from_labels`` validate their
     input; ``decluster`` and ``refine`` build their partitions from labels
-    directly and record ``origin``: for each cluster, the index of the same
-    cluster in the partition it came from, or -1 for the halves of a split.
+    directly and record ``parent``: for each cluster, the index of the
+    cluster it came from in the partition they split (None elsewhere).
     """
 
-    __slots__ = ("n", "order", "starts", "sizes", "origin", "_labels", "_clusters")
+    __slots__ = ("n", "order", "starts", "sizes", "parent", "_labels", "_clusters")
 
     def __init__(self, n: int, clusters: Sequence[Sequence[int]]):
         clusters = tuple(tuple(int(i) for i in cluster) for cluster in clusters)
@@ -125,7 +125,7 @@ class ClusterPartition:
 
     @classmethod
     def _indexed(
-        cls, labels: np.ndarray, count: int, origin=None, hint=None
+        cls, labels: np.ndarray, count: int, parent=None, hint=None
     ) -> "ClusterPartition":
         """Unchecked constructor over labels that number ``count`` nonempty clusters.
 
@@ -134,13 +134,13 @@ class ClusterPartition:
         sorting it by label is cheaper than a full sort.
         """
         out = object.__new__(cls)
-        out._index(labels, count, origin, hint)
+        out._index(labels, count, parent, hint)
         out._clusters = None
         return out
 
-    def _index(self, labels, count, origin=None, hint=None) -> None:
+    def _index(self, labels, count, parent=None, hint=None) -> None:
         self.n = int(labels.size)
-        self.origin = origin
+        self.parent = parent
         self._labels = labels
         if hint is None:
             self.order = np.argsort(labels, kind="stable")
@@ -207,11 +207,9 @@ class ClusterPartition:
         labels = self._labels
         shift = np.cumsum(split) - split
         count = self.cluster_count + int(np.count_nonzero(split))
-        kept = np.flatnonzero(~split)
-        origin = np.full(count, -1, dtype=np.int64)
-        origin[kept + shift[kept]] = kept
+        parent = np.repeat(np.arange(self.cluster_count), 1 + split)
         out = ClusterPartition._indexed(
-            labels + shift[labels] + second, count, origin, self.order
+            labels + shift[labels] + second, count, parent, self.order
         )
         if (out.sizes == 0).any():
             raise PartitionError("a split left a cluster empty")
@@ -223,12 +221,15 @@ class AggregatedInstance:
     """Per-cluster mean rows of the target and feature data plus cluster sizes.
 
     ``B_agg`` is a (k, q) and ``A_agg`` a (k, m) float array; ``weights`` is
-    the (k,) int array of cluster sizes. Instances compare by identity.
+    the (k,) int array of cluster sizes. ``parent`` is the partition's
+    ``parent`` map when it was split from another, else None. Instances
+    compare by identity.
     """
 
     B_agg: np.ndarray
     A_agg: np.ndarray
     weights: np.ndarray
+    parent: np.ndarray | None = None
 
     def __post_init__(self):
         k = self.weights.shape[0]
@@ -293,8 +294,10 @@ class ProblemDefinition(abc.ABC):
         ``(previous, incumbent)``: the solution this method returned on the
         partition the current one was split from, and the best full-data
         objective found so far. A problem may use it to skip work that
-        cannot change the result; the returned solution must equal the one
-        it returns without ``prior``.
+        cannot change the result, or to start from the previous optimum.
+        The returned solution must be an optimum of the same weighted
+        problem as the one returned without ``prior``, and bitwise equal to
+        it where the optimum is unique.
         """
 
     # Maximize-sense problems also implement the three methods below; the
@@ -407,10 +410,12 @@ def aggregate(
 ) -> AggregatedInstance:
     """Collapse every cluster of the (n, q) and (n, m) arrays to the mean of its rows.
 
-    A cluster's mean is the sum of its rows, in ascending row order, divided
-    by its size. ``previous``, the aggregate of the partition that
-    ``partition`` was split from, supplies the means of the clusters that
-    the split kept (``partition.origin``), so only new clusters are summed.
+    A cluster's mean is the sequential sum of its rows, in ascending row
+    order, divided by its size. ``previous``, the aggregate of the partition
+    that ``partition`` was split from, supplies the means of the clusters
+    that the split kept (a ``partition.parent`` entry that no other cluster
+    shares), so only the new clusters are summed, all in one
+    ``np.add.reduceat`` call per array.
     """
     if b.shape[0] != partition.n or a.shape[0] != partition.n:
         raise PartitionError(
@@ -418,19 +423,22 @@ def aggregate(
             f"{partition.n} rows"
         )
     k = partition.cluster_count
+    parent = partition.parent
     b_out = np.empty((k, b.shape[1]))
     a_out = np.empty((k, a.shape[1]))
-    fresh = range(k)
-    if previous is not None and partition.origin is not None:
-        kept = partition.origin >= 0
-        b_out[kept] = previous.B_agg[partition.origin[kept]]
-        a_out[kept] = previous.A_agg[partition.origin[kept]]
-        fresh = np.flatnonzero(~kept).tolist()
-    for c in fresh:
-        rows = partition.rows(c)
-        b_out[c, :] = b[rows, :].sum(axis=0) / rows.size
-        a_out[c, :] = a[rows, :].sum(axis=0) / rows.size
-    return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
+    fresh = np.ones(k, dtype=bool)
+    if previous is not None and parent is not None:
+        fresh = np.bincount(parent)[parent] > 1
+        b_out[~fresh] = previous.B_agg[parent[~fresh]]
+        a_out[~fresh] = previous.A_agg[parent[~fresh]]
+    rows = partition.order[np.repeat(fresh, partition.sizes)]
+    sizes = partition.sizes[fresh]
+    starts = np.cumsum(sizes) - sizes
+    b_out[fresh] = np.add.reduceat(b[rows], starts) / sizes[:, None]
+    a_out[fresh] = np.add.reduceat(a[rows], starts) / sizes[:, None]
+    return AggregatedInstance(
+        B_agg=b_out, A_agg=a_out, weights=partition.sizes, parent=parent
+    )
 
 
 def _residual(b: np.ndarray, fitted: np.ndarray) -> np.ndarray:

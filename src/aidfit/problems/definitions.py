@@ -48,7 +48,7 @@ class LadRegressionProblem(_LinearMapMixin, ProblemDefinition):
     def solve_weighted(
         self, agg: AggregatedInstance, config: SolverConfig, prior=None
     ) -> RegressionSolution:
-        return solve_weighted_lad(agg)
+        return solve_weighted_lad(agg, None if prior is None else prior[0])
 
 
 class SubsetSelectionProblem(_LinearMapMixin, ProblemDefinition):

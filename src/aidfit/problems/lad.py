@@ -14,17 +14,25 @@ the fit x = 0, and the dual becomes the bounded LP
 with each row flipped so that its right-hand side is nonnegative. It is
 solved by ``simplex.primal_simplex`` from a basis of one artificial column
 per row, so a pivot touches about m x (k + m) cells for k data rows and m
-coefficients. The coefficients are the row multipliers, read off the
-artificial columns' reduced costs. Before the solve every column of A, the
-target and the weights are scaled by powers of two so that each one's
-largest magnitude lies in [1, 2); this is exact, fixes the simplex
-tolerances relative to each column's scale, and is undone on x and d.
-Linear constraints g @ x <= limit, the ball's tangent cuts in ``sphere``,
-each add one dual column g with cost ``limit`` and no upper bound.
+coefficients. The coefficients are the row multipliers, solved from the
+final basis like z itself, so the result depends on that basis only.
+
+A solve may start from a dual vector, such as the previous partition's
+optimum handed down to its children by ``child_dual``. Mapped to z, its
+entries strictly inside the box are crashed into the basis (those that
+depend on the others are pushed to a bound without raising the cost),
+artificials fill the rest, and the simplex runs its second phase only.
+
+Before the solve every column of A, the target and the weights are scaled
+by powers of two so that each one's largest magnitude lies in [1, 2); this
+is exact, fixes the simplex tolerances relative to each column's scale,
+and is undone on x and d. Linear constraints g @ x <= limit, the ball's
+tangent cuts in ``sphere``, each add one dual column g with cost ``limit``
+and no upper bound.
 
 Subset selection enumerates every support of the requested size and solves
 the restricted regression exactly for each support that a previous solve's
-bounds cannot rule out.
+bounds cannot rule out, each from its own last dual.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "SubsetSolution",
     "InstanceTooLargeError",
     "weighted_lad_lp",
+    "child_dual",
     "solve_weighted_lad",
     "solve_subset_selection",
 ]
@@ -56,6 +65,8 @@ class InstanceTooLargeError(RuntimeError):
 class RegressionSolution:
     coefficients: np.ndarray
     objective: float
+    # the LP's optimal dual d, one entry per cluster (see ``weighted_lad_lp``)
+    dual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,16 @@ class SubsetSolution:
     ``support_bounds`` holds one value per support of size p, in
     ``itertools.combinations`` order: the support's aggregated optimum
     where this solve computed it, else the value carried from an earlier
-    solve, which bounds it from below.
+    solve, which bounds it from below. ``duals`` holds, in the same order,
+    the optimal dual of each support this solve computed, and None for the
+    others.
     """
 
     support: tuple[int, ...]
     coefficients: np.ndarray
     objective: float
     support_bounds: np.ndarray
+    duals: tuple[np.ndarray | None, ...]
 
 
 def _unit_exponents(values: np.ndarray) -> np.ndarray:
@@ -88,6 +102,7 @@ def weighted_lad_lp(
     weights: np.ndarray,
     cuts: np.ndarray | None = None,
     limit: float = 0.0,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly, subject to
     ``g @ x <= limit`` for each row g of ``cuts``.
@@ -96,6 +111,10 @@ def weighted_lad_lp(
     cuts ``a.T @ d == 0`` and ``b @ d`` equals the optimum, with cuts
     ``a.T @ d`` is a nonnegative combination of them), and the objective
     recomputed on the data as given.
+
+    ``start`` is a dual vector to start from, clipped into the box; with
+    ``a.T @ start`` about zero, the simplex skips its first phase (see
+    ``simplex.primal_simplex``), and otherwise the start is ignored.
     """
     n, m = a.shape
     if b.shape != (n,):
@@ -120,7 +139,11 @@ def weighted_lad_lp(
     matrix = np.hstack([(signed * rho).T, np.eye(m), (g * rho).T])
     cost = np.concatenate([np.abs(b_s), np.zeros(m), np.full(len(g), limit)])
     upper = np.concatenate([2.0 * w_s, np.zeros(m), np.full(len(g), np.inf)])
-    result = primal_simplex(matrix, rhs * rho, cost, list(range(n, n + m)), upper=upper)
+    if start is not None:
+        start = np.concatenate([w_s - sigma * np.ldexp(start, w_exp), np.zeros(m + len(g))])
+    result = primal_simplex(
+        matrix, rhs * rho, cost, list(range(n, n + m)), upper=upper, start=start
+    )
 
     # the row multipliers are the scaled coefficients, up to each row's flip
     x = np.ldexp(rho * result.duals, col_exp - b_exp)
@@ -129,12 +152,35 @@ def weighted_lad_lp(
     return x, duals, objective
 
 
-def solve_weighted_lad(agg: AggregatedInstance) -> RegressionSolution:
-    """Globally optimal weighted LAD coefficients for an aggregated instance."""
+def child_dual(dual: np.ndarray, agg: AggregatedInstance) -> np.ndarray | None:
+    """The dual of ``agg``'s parent partition handed down to its clusters.
+
+    Child j of cluster c gets ``d_c * w_j / w_c``, which keeps ``A^T d`` and
+    ``b @ d`` (the parent's means are the weighted means of their
+    children's) and every |d_j| <= w_j. Dividing first keeps a parent at a
+    bound, d_c = +-w_c, exactly at +-w_j. None when ``agg`` has no parent.
+    """
+    if agg.parent is None:
+        return None
+    weights = np.bincount(agg.parent, weights=agg.weights)
+    if weights.shape != dual.shape:
+        raise ValueError(f"a dual of {dual.size} entries for {weights.size} parent clusters")
+    return (dual / weights)[agg.parent] * agg.weights
+
+
+def solve_weighted_lad(
+    agg: AggregatedInstance, prior: RegressionSolution | None = None
+) -> RegressionSolution:
+    """Globally optimal weighted LAD coefficients for an aggregated instance.
+
+    ``prior`` is the solution on the partition that ``agg``'s was split
+    from; its dual, handed down by ``child_dual``, warm-starts the LP.
+    """
     if agg.B_agg.shape[1] != 1:
         raise ValueError("weighted LAD expects a single target column")
-    x, _, objective = weighted_lad_lp(agg.B_agg[:, 0], agg.A_agg, agg.weights)
-    return RegressionSolution(coefficients=x, objective=objective)
+    start = None if prior is None else child_dual(prior.dual, agg)
+    x, d, objective = weighted_lad_lp(agg.B_agg[:, 0], agg.A_agg, agg.weights, start=start)
+    return RegressionSolution(coefficients=x, objective=objective, dual=d)
 
 
 def solve_subset_selection(
@@ -145,21 +191,24 @@ def solve_subset_selection(
 ) -> SubsetSolution:
     """Exact best-subset LAD: try every support of size p, keep the best.
 
-    Supports are scanned in lexicographic order and only strict objective
-    improvements replace the best so far, so equal-objective ties resolve to
-    the lexicographically smallest support.
+    Supports are scanned in lexicographic order. The best is the first
+    support whose objective lies within ``bound_slack`` (taken with the
+    aggregated target's magnitude as scale) of the smallest, so ties, and
+    near-ties that rounding cannot separate, resolve to the
+    lexicographically smallest support.
 
     ``prior`` is ``(previous, incumbent)``: the solution on a partition that
     ``agg``'s partition refines, and the full-data objective of some fit
     with p nonzeros. A support whose value in ``previous.support_bounds``
-    exceeds the incumbent by more than ``bound_slack`` (taken with the
-    aggregated target's magnitude as scale) is skipped and keeps that value.
-    This is exact: splitting a cluster never lowers a support's aggregated
-    optimum (triangle inequality per cluster), so the skipped support's
-    optimum here still exceeds the incumbent, which is at least the full
-    optimum, which is at least the best support's aggregated optimum. A
-    skipped support can neither win nor tie, so the result equals the
-    unpruned solve's.
+    exceeds the incumbent by more than ``bound_slack`` is skipped and keeps
+    that value. This is exact: splitting a cluster never lowers a support's
+    aggregated optimum (triangle inequality per cluster), so the skipped
+    support's optimum here still exceeds the incumbent, which is at least
+    the full optimum, which is at least the best support's aggregated
+    optimum, by more than the tie allowance. A skipped support can neither
+    win nor tie, so the result is the unpruned solve's support. Each
+    solved support whose dual ``previous`` carries, on the parent of
+    ``agg``'s partition, starts its LP from that dual (``child_dual``).
     """
     m = agg.A_agg.shape[1]
     if not 1 <= p <= m:
@@ -172,6 +221,8 @@ def solve_subset_selection(
 
     b = agg.B_agg[:, 0]
     a = agg.A_agg
+    scale = float(agg.weights @ np.abs(b))
+    carried = [None] * n_supports
     if prior is None:
         bounds = np.full(n_supports, -np.inf)
         skip = np.zeros(n_supports, dtype=bool)
@@ -182,24 +233,30 @@ def solve_subset_selection(
                 f"prior carries {previous.support_bounds.size} bounds, not {n_supports}"
             )
         bounds = previous.support_bounds.copy()
-        scale = float(agg.weights @ np.abs(b))
         skip = bounds > incumbent + bound_slack(incumbent, bounds, scale)
-
-    best = None
-    for i, support in enumerate(combinations(range(m), p)):
-        if skip[i]:
-            continue
-        x_sub, _, objective = weighted_lad_lp(b, a[:, list(support)], agg.weights)
-        bounds[i] = objective
-        if best is None or objective < best[0]:
-            best = (objective, support, x_sub)
-    if best is None:
+        carried = previous.duals
+    if skip.all():
         raise LowerBoundViolationError(
             f"incumbent {prior[1]} lies below every support's aggregated bound"
         )
-    objective, support, x_sub = best
+
+    supports = list(combinations(range(m), p))
+    fits = [None] * n_supports
+    duals = [None] * n_supports
+    solved = np.flatnonzero(~skip)
+    for i in solved.tolist():
+        start = None if carried[i] is None else child_dual(carried[i], agg)
+        fits[i], duals[i], bounds[i] = weighted_lad_lp(
+            b, a[:, list(supports[i])], agg.weights, start=start
+        )
+    low = bounds[solved].min()
+    best = int(solved[np.argmax(bounds[solved] <= low + bound_slack(bounds[solved], low, scale))])
     x_full = np.zeros(m)
-    x_full[list(support)] = x_sub
+    x_full[list(supports[best])] = fits[best]
     return SubsetSolution(
-        support=support, coefficients=x_full, objective=objective, support_bounds=bounds
+        support=supports[best],
+        coefficients=x_full,
+        objective=float(bounds[best]),
+        support_bounds=bounds,
+        duals=tuple(duals),
     )

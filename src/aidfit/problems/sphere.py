@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DEFAULT_EPS_SIGN, AggregatedInstance, SolverConfig
+from ..core import DEFAULT_EPS_SIGN, AggregatedInstance, SolverConfig, bound_slack
 from .lad import weighted_lad_lp
 
 __all__ = ["SphereSolution", "SphereNotConvergedError", "solve_sphere_lad"]
@@ -88,8 +88,12 @@ def solve_sphere_lad(
     """Exactly solve min sum_k w_k |b_k - a_k @ x| subject to ||x||^2 <= R.
 
     The returned solution is certified: ``certified_gap`` is a genuine
-    primal-dual gap and satisfies ``certified_gap <= tol * (1 + objective)``,
-    unless the LP optimum itself lies in the ball, which makes it optimal.
+    primal-dual gap and satisfies ``certified_gap <= tol * objective +
+    bound_slack(objective, dual, scale)``, with ``dual`` the best dual value
+    and ``scale = sum_k w_k |b_k|``, the size of the rounding noise in an
+    exact fit's objective; both terms scale with the data. The gap is not
+    checked when the LP optimum itself lies in the ball, which makes it
+    optimal.
     After ``max_iters`` cut rounds ``SphereNotConvergedError`` carries the
     best feasible iterate.
     """
@@ -106,6 +110,7 @@ def solve_sphere_lad(
     a = agg.A_agg
     w = agg.weights
     root = float(np.sqrt(radius))
+    scale = float(w @ np.abs(b))
 
     cuts = np.empty((0, a.shape[1]))
     best_x, best_primal, best_dual = None, np.inf, -np.inf
@@ -127,7 +132,7 @@ def solve_sphere_lad(
             if value < best_primal:
                 best_x, best_primal = point, value
         best = SphereSolution(best_x, best_primal, max(best_primal - best_dual, 0.0))
-        if best.certified_gap <= tol * (1.0 + best_primal):
+        if best.certified_gap <= tol * best_primal + bound_slack(best_primal, best_dual, scale):
             return best
         cuts = np.vstack([cuts, x / norm])
     raise SphereNotConvergedError(best)

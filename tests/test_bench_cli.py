@@ -381,6 +381,19 @@ class TestCli:
             EXIT_INPUT_ERROR
         )
 
+    # a non-JSON argument longer than a file name may be names no input file
+    def test_overlong_grid_path_is_input_error(self, tmp_path):
+        out = ["--out", str(tmp_path / "x")]
+        assert main(["benchmark", "--problem", "lad", "--grid", "x" * 300] + out) == (
+            EXIT_INPUT_ERROR
+        )
+
+    def test_overlong_instance_path_is_input_error(self, tmp_path):
+        out = ["--out", str(tmp_path / "x")]
+        assert main(["solve", "--problem", "lad", "--instance", "x" * 300] + out) == (
+            EXIT_INPUT_ERROR
+        )
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIDFIT_OUT", str(tmp_path))
         code = main(

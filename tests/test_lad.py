@@ -5,11 +5,19 @@ import pytest
 
 import aidfit.problems.lad as lad
 from aidfit.clustering import kmeans_one_pass
-from aidfit.core import AidConfig, LowerBoundViolationError, run_aid
+from aidfit.core import (
+    AidConfig,
+    LowerBoundViolationError,
+    aggregate,
+    bound_slack,
+    decluster,
+    run_aid,
+)
 from aidfit.linalg import DataMatrix
-from aidfit.problems import SubsetSelectionProblem
+from aidfit.problems import LadRegressionProblem, SubsetSelectionProblem
 from aidfit.problems.lad import (
     InstanceTooLargeError,
+    child_dual,
     solve_subset_selection,
     solve_weighted_lad,
 )
@@ -147,11 +155,19 @@ class TestSubsetSelection:
 
 
 class CheckedSubset(SubsetSelectionProblem):
-    """Checks every pruned solve against the unpruned one and counts its LPs."""
+    """Checks every pruned, warm-started solve against the cold unpruned one
+    and counts its LPs.
 
-    def __init__(self, m, p, lp_calls):
+    Both must pick the same support at objectives within ``bound_slack``; a
+    warm start may end at another optimal basis of a degenerate LP. With
+    ``bitwise`` the coefficients must also be identical, which holds where
+    the optimum is unique.
+    """
+
+    def __init__(self, m, p, lp_calls, bitwise=False):
         super().__init__(m, p)
         self.lp_calls = lp_calls
+        self.bitwise = bitwise
         self.per_solve = []
 
     def solve_weighted(self, agg, config, prior=None):
@@ -160,8 +176,11 @@ class CheckedSubset(SubsetSelectionProblem):
         self.per_solve.append(len(self.lp_calls) - before)
         full = solve_subset_selection(agg, self.p)
         assert pruned.support == full.support
-        assert pruned.objective == full.objective
-        assert np.array_equal(pruned.coefficients, full.coefficients)
+        scale = float(agg.weights @ np.abs(agg.B_agg[:, 0]))
+        slack = bound_slack(pruned.objective, full.objective, scale)
+        assert abs(pruned.objective - full.objective) <= slack
+        if self.bitwise:
+            assert np.array_equal(pruned.coefficients, full.coefficients)
         return pruned
 
 
@@ -195,8 +214,8 @@ def subset_instance(rng, n, m, kind):
     return DataMatrix(b.reshape(-1, 1)), DataMatrix(a)
 
 
-def run_checked(b, a, p, lp_calls, seed=0, k=4):
-    problem = CheckedSubset(a.cols, p, lp_calls)
+def run_checked(b, a, p, lp_calls, seed=0, k=4, bitwise=False):
+    problem = CheckedSubset(a.cols, p, lp_calls, bitwise)
     initial = kmeans_one_pass(DataMatrix(np.hstack([a.values, b.values])), k, seed)
     return problem, run_aid(b, a, problem, initial, AidConfig(tol=0.0))
 
@@ -211,7 +230,9 @@ class TestSubsetPruning:
             for p in (1, 2, 3):
                 for trial in range(2):
                     b, a = subset_instance(rng, 90, m, kind)
-                    problem, report = run_checked(b, a, p, lp_calls, seed=trial)
+                    problem, report = run_checked(
+                        b, a, p, lp_calls, seed=trial, bitwise=kind == "normal"
+                    )
                     assert len(problem.per_solve) == report.total_iterations
                     assert problem.per_solve[0] == comb(m, p)
 
@@ -253,3 +274,120 @@ class TestSubsetPruning:
         agg = make_agg(rng.standard_normal(8), rng.standard_normal((8, 4)))
         with pytest.raises(ValueError, match="bounds"):
             solve_subset_selection(agg, p=2, prior=(solve_subset_selection(agg, p=1), 0.0))
+
+
+def lad_instance(rng, n, m, kind):
+    """(b, a) of a random LAD instance: a ``subset_instance`` kind, or
+    "scaled" with column scales 10^6, 1, 10^-6, 1."""
+    if kind == "scaled":
+        scales = np.array([1e6, 1.0, 1e-6, 1.0])[:m]
+        a = rng.standard_normal((n, m)) * scales
+        return a @ (rng.uniform(-5, 5, m) / scales) + rng.standard_normal(n), a
+    target, features = subset_instance(rng, n, m, kind)
+    return target.values[:, 0], features.values
+
+
+class CheckedLad(LadRegressionProblem):
+    """Checks every warm-started solve against a cold one of the same LP."""
+
+    def __init__(self):
+        self.warm = 0
+
+    def solve_weighted(self, agg, config, prior=None):
+        warm = super().solve_weighted(agg, config, prior)
+        self.warm += prior is not None
+        cold = solve_weighted_lad(agg)
+        b, a, w = agg.B_agg[:, 0], agg.A_agg, agg.weights
+        scale = float(w @ np.abs(b))
+        assert abs(warm.objective - cold.objective) <= bound_slack(
+            warm.objective, cold.objective, scale
+        )
+        assert np.all(np.abs(warm.dual) <= w)
+        assert np.all(np.abs(a.T @ warm.dual) <= 1e-9 * (np.abs(a).T @ w))
+        return warm
+
+
+@pytest.fixture
+def simplex_results(monkeypatch):
+    results = []
+    original = lad.primal_simplex
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lad, "primal_simplex", recording)
+    return results
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["normal", "integer", "duplicated", "exact", "scaled"])
+    def test_mapped_parent_dual_matches_cold_solve(self, kind):
+        rng = np.random.default_rng(11)
+        warm = 0
+        for m in (3, 4):
+            for trial in range(6):
+                b, a = lad_instance(rng, 120, m, kind)
+                problem = CheckedLad()
+                initial = kmeans_one_pass(DataMatrix(np.hstack([a, b[:, None]])), 3, trial)
+                run_aid(DataMatrix(b[:, None]), DataMatrix(a), problem, initial)
+                warm += problem.warm
+        assert warm > 0
+
+    def test_child_dual_keeps_bounds_and_balance(self, rng):
+        a = rng.standard_normal((40, 3))
+        b = a @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(40)
+        partition = kmeans_one_pass(DataMatrix(np.hstack([a, b[:, None]])), 5, 0)
+        parent = aggregate(b[:, None], a, partition)
+        solution = solve_weighted_lad(parent)
+        signs = np.where(rng.random((40, 1)) < 0.5, 1, -1).astype(np.int8)
+        violating = [c for c in range(5) if np.unique(signs[partition.rows(c)]).size > 1]
+        child = aggregate(b[:, None], a, decluster(partition, signs, violating), parent)
+        d = child_dual(solution.dual, child)
+        # a parent at a bound hands its children exactly their own bounds
+        at_bound = (np.abs(solution.dual) == parent.weights)[child.parent]
+        assert at_bound.any()
+        assert np.array_equal(np.abs(d[at_bound]), child.weights[at_bound])
+        assert np.all(np.abs(d) <= child.weights)
+        assert np.allclose(child.A_agg.T @ d, parent.A_agg.T @ solution.dual, atol=1e-9)
+        assert child.B_agg[:, 0] @ d == pytest.approx(parent.B_agg[:, 0] @ solution.dual)
+
+    def test_optimal_start_takes_no_pivots(self, rng, simplex_results):
+        for _ in range(30):
+            n, m = int(rng.integers(5, 30)), int(rng.integers(1, 4))
+            a = rng.standard_normal((n, m))
+            b = rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n).astype(float)
+            x, d, objective = lad.weighted_lad_lp(b, a, w)
+            again = lad.weighted_lad_lp(b, a, w, start=d)
+            assert simplex_results[-1].pivots == 0 and simplex_results[-1].flips == 0
+            assert again[2] == objective
+            assert np.array_equal(again[0], x)
+
+    def test_start_with_more_free_entries_than_rows(self, rng, simplex_results):
+        # a dual strictly inside the box: every entry is free and all but m
+        # must be pushed to a bound before phase two
+        for _ in range(30):
+            n, m = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+            a = rng.standard_normal((n, m))
+            b = rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n).astype(float)
+            q, _ = np.linalg.qr(a, mode="complete")
+            d = q[:, m:] @ rng.standard_normal(n - m)
+            d *= 0.9 / np.max(np.abs(d) / w)
+            _, cold_d, cold = lad.weighted_lad_lp(b, a, w)
+            _, warm_d, warm = lad.weighted_lad_lp(b, a, w, start=d)
+            assert simplex_results[-1].crash == n
+            assert abs(warm - cold) <= 1e-9 * (1 + cold)
+            assert np.all(np.abs(warm_d) <= w)
+            assert abs(b @ warm_d - warm) <= 1e-9 * (1 + cold)
+
+    def test_inconsistent_start_is_ignored(self, rng, simplex_results):
+        a = rng.standard_normal((20, 2))
+        b = rng.standard_normal(20)
+        w = np.ones(20)
+        cold = lad.weighted_lad_lp(b, a, w)
+        warm = lad.weighted_lad_lp(b, a, w, start=w.copy())
+        assert simplex_results[-1].crash == 0
+        for left, right in zip(cold, warm):
+            assert np.array_equal(left, right)

@@ -166,6 +166,34 @@ class TestExactFitsAndScale:
             slack = sol.certified_gap + scale * (base.certified_gap + 1e-12 * base.objective)
             assert abs(sol.objective - scale * base.objective) <= slack
 
+    def test_large_exact_fits_at_tight_tol(self, rng):
+        # the rounding noise of an exact fit's objective, about 1e-16 of the
+        # target's magnitude, must not count as a gap to close
+        for _ in range(60):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(1, m + 1))
+            a = rng.standard_normal((n, m)) * 1e6
+            b = 3e6 * rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n)
+            x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+            radius = float(x0 @ x0) * float(rng.uniform(0.3, 3.0))
+            sol = solve_sphere_lad(make_agg(b, a, w), radius=radius, tol=1e-11)
+            assert float(sol.coefficients @ sol.coefficients) <= radius * (1 + 1e-12)
+
+    def test_small_data_keeps_the_relative_gap(self, rng):
+        # at 2^-30 the objective is about 1e-8, so a gap test absolute in
+        # the objective would stop far above tol
+        scale = 2.0**-30
+        for _ in range(60):
+            n = int(rng.integers(4, 40))
+            m = int(rng.integers(1, 5))
+            a = rng.standard_normal((n, m))
+            b = a @ rng.uniform(0, 10, m) + rng.standard_normal(n)
+            w = rng.integers(1, 5, size=n)
+            radius = float(rng.uniform(0.5, 50.0))
+            sol = solve_sphere_lad(make_agg(b * scale, a * scale, w), radius=radius, tol=1e-11)
+            assert sol.certified_gap <= 1e-11 * sol.objective
+
 
 class RecordingSphere(SphereRegressionProblem):
     def __init__(self, radius):
