@@ -18,13 +18,20 @@ the cluster counts and the sign matrices must not, and the objectives can be
 compared numerically.
 
 The script solves with the ``src`` and ``perfbench`` next to it, so to
-compare two checkouts run a copy in each and diff the outputs:
+compare two checkouts run a copy of the other one first and compare with
+its output:
 
-    python3 scripts/payload_digests.py > new.txt
     python3 ../other-checkout/scripts/payload_digests.py > old.txt
-    diff old.txt new.txt
+    python3 scripts/payload_digests.py --compare old.txt
 
     python3 scripts/payload_digests.py --workload subset-paper   # one pool
+
+``--compare OLD`` prints, per workload, how many lines are identical to
+OLD's line for the same instance, how many differ only in the digest or the
+objective (with the largest relative objective difference among them), and
+how many differ in the termination, the cluster counts or the signs (or
+have no line in OLD); each of the last is printed with its OLD line, and
+any of them makes the script exit with status 1.
 
 BLAS runs single-threaded, as in the benchmark, so the lines repeat across
 runs on one host.
@@ -59,10 +66,40 @@ def payload_facts(report: dict) -> str:
     return f"{payload['objective']!r} {payload['termination']} {counts} {sign_hash}"
 
 
+def compare(old: list[str], new: list[str]) -> tuple[list[str], bool]:
+    """Per workload, the summary of ``new``'s lines against ``old``'s, with
+    every line whose facts differ; and whether any do."""
+    before = {tuple(line.split()[:2]): line.split() for line in old}
+    summary: dict[str, list] = {}
+    report = []
+    for line in new:
+        fields = line.split()
+        counts = summary.setdefault(fields[0], [0, 0, 0.0, 0])
+        previous = before.get(tuple(fields[:2]))
+        if previous == fields:
+            counts[0] += 1
+        elif previous is not None and previous[4:] == fields[4:]:
+            counts[1] += 1
+            a, b = float(previous[3]), float(fields[3])
+            counts[2] = max(counts[2], abs(a - b) / max(abs(a), abs(b), 1e-300))
+        else:
+            counts[3] += 1
+            report.append(f"  old: {' '.join(previous) if previous else '(none)'}")
+            report.append(f"  new: {line}")
+    lines = [
+        f"{name}: {same} identical, {digest} digest only (max rel objective diff "
+        f"{diff:.3g}), {moved} differ in termination, counts or signs"
+        for name, (same, digest, diff, moved) in summary.items()
+    ]
+    return lines + report, bool(report)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", help="solve only this workload's pool")
+    parser.add_argument("--compare", metavar="OLD", help="compare with this earlier output")
     args = parser.parse_args()
+    old = None if args.compare is None else Path(args.compare).read_text().splitlines()
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -71,12 +108,19 @@ def main() -> None:
 
     if args.workload is not None and args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(WORKLOADS)}")
+    lines = []
     for name, workload in WORKLOADS.items():
         if args.workload not in (None, name):
             continue
         for seed in range(1, workload.pool + 1):
             report = run_solve(*workload.instance(seed))
-            print(name, seed, payload_digest(report), payload_facts(report), flush=True)
+            lines.append(f"{name} {seed} {payload_digest(report)} {payload_facts(report)}")
+            if old is None:
+                print(lines[-1], flush=True)
+    if old is not None:
+        summary, moved = compare(old, lines)
+        print("\n".join(summary))
+        sys.exit(1 if moved else 0)
 
 
 if __name__ == "__main__":

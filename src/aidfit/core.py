@@ -221,15 +221,12 @@ class AggregatedInstance:
     """Per-cluster mean rows of the target and feature data plus cluster sizes.
 
     ``B_agg`` is a (k, q) and ``A_agg`` a (k, m) float array; ``weights`` is
-    the (k,) int array of cluster sizes. ``parent`` is the partition's
-    ``parent`` map when it was split from another, else None. Instances
-    compare by identity.
+    the (k,) int array of cluster sizes. Instances compare by identity.
     """
 
     B_agg: np.ndarray
     A_agg: np.ndarray
     weights: np.ndarray
-    parent: np.ndarray | None = None
 
     def __post_init__(self):
         k = self.weights.shape[0]
@@ -294,7 +291,9 @@ class ProblemDefinition(abc.ABC):
         ``(previous, incumbent)``: the solution this method returned on the
         partition the current one was split from, and the best full-data
         objective found so far. A problem may use it to skip work that
-        cannot change the result, or to start from the previous optimum.
+        cannot change the result, or to start from the previous solution:
+        the LAD problems start each LP from the residual signs of the
+        previous fit.
         The returned solution must be an optimum of the same weighted
         problem as the one returned without ``prior``, and bitwise equal to
         it where the optimum is unique.
@@ -436,9 +435,7 @@ def aggregate(
     starts = np.cumsum(sizes) - sizes
     b_out[fresh] = np.add.reduceat(b[rows], starts) / sizes[:, None]
     a_out[fresh] = np.add.reduceat(a[rows], starts) / sizes[:, None]
-    return AggregatedInstance(
-        B_agg=b_out, A_agg=a_out, weights=partition.sizes, parent=parent
-    )
+    return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
 
 
 def _residual(b: np.ndarray, fitted: np.ndarray) -> np.ndarray:

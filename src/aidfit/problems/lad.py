@@ -9,19 +9,18 @@ the style of Barrodale and Roberts (1973). Writing d_i = sigma_i (w_i - z_i)
 with sigma_i the sign of b_i and z_i in [0, 2 w_i] makes z = 0 the dual of
 the fit x = 0, and the dual becomes the bounded LP
 
-    min sum_i |b_i| z_i  subject to  (sigma * A)^T z = sum_i sigma_i w_i a_i,
+    min sum_i |b_i| z_i  subject to  (sigma * A)^T z = sum_i sigma_i w_i a_i.
 
-with each row flipped so that its right-hand side is nonnegative. It is
-solved by ``simplex.primal_simplex`` from a basis of one artificial column
-per row, so a pivot touches about m x (k + m) cells for k data rows and m
-coefficients. The coefficients are the row multipliers, solved from the
-final basis like z itself, so the result depends on that basis only.
+It is solved by ``simplex.primal_simplex`` from a basis of one artificial
+column per row, so a pivot touches about m x (k + m) cells for k data rows
+and m coefficients. The coefficients are the row multipliers, solved from
+the final basis like z itself, so the result depends on that basis only.
 
-A solve may start from a dual vector, such as the previous partition's
-optimum handed down to its children by ``child_dual``. Mapped to z, its
-entries strictly inside the box are crashed into the basis (those that
-depend on the others are pushed to a bound without raising the cost),
-artificials fill the rest, and the simplex runs its second phase only.
+Every solve starts from the residual signs of a fit: d_i = w_i sign(r_i),
+a corner of the box, with a zero residual counting as the sign of b_i. A
+cold solve uses the fit x = 0, which puts every z_i at zero. A warm solve
+uses the previous optimum's coefficients, whose signs already agree on
+most rows, so phases one and two take fewer steps from there.
 
 Before the solve every column of A, the target and the weights are scaled
 by powers of two so that each one's largest magnitude lies in [1, 2); this
@@ -32,7 +31,7 @@ and no upper bound.
 
 Subset selection enumerates every support of the requested size and solves
 the restricted regression exactly for each support that a previous solve's
-bounds cannot rule out, each from its own last dual.
+bounds cannot rule out, each from its own last fit.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "SubsetSolution",
     "InstanceTooLargeError",
     "weighted_lad_lp",
-    "child_dual",
     "solve_weighted_lad",
     "solve_subset_selection",
 ]
@@ -65,8 +63,6 @@ class InstanceTooLargeError(RuntimeError):
 class RegressionSolution:
     coefficients: np.ndarray
     objective: float
-    # the LP's optimal dual d, one entry per cluster (see ``weighted_lad_lp``)
-    dual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,16 +72,16 @@ class SubsetSolution:
     ``support_bounds`` holds one value per support of size p, in
     ``itertools.combinations`` order: the support's aggregated optimum
     where this solve computed it, else the value carried from an earlier
-    solve, which bounds it from below. ``duals`` holds, in the same order,
-    the optimal dual of each support this solve computed, and None for the
-    others.
+    solve, which bounds it from below. ``fits`` holds, in the same order,
+    the p coefficients of each support this solve computed, and None for
+    the others.
     """
 
     support: tuple[int, ...]
     coefficients: np.ndarray
     objective: float
     support_bounds: np.ndarray
-    duals: tuple[np.ndarray | None, ...]
+    fits: tuple[np.ndarray | None, ...]
 
 
 def _unit_exponents(values: np.ndarray) -> np.ndarray:
@@ -112,9 +108,8 @@ def weighted_lad_lp(
     ``a.T @ d`` is a nonnegative combination of them), and the objective
     recomputed on the data as given.
 
-    ``start`` is a dual vector to start from, clipped into the box; with
-    ``a.T @ start`` about zero, the simplex skips its first phase (see
-    ``simplex.primal_simplex``), and otherwise the start is ignored.
+    ``start`` is a coefficient vector whose residual signs give the LP's
+    starting bound pattern (see the module docstring); x = 0 when omitted.
     """
     n, m = a.shape
     if b.shape != (n,):
@@ -132,40 +127,24 @@ def weighted_lad_lp(
     # d = sigma (w - z) with z in [0, 2w]; z = 0 is the dual of the fit x = 0
     sigma = np.where(b_s < 0, -1.0, 1.0)
     signed = a_s * sigma[:, None]
-    rhs = w_s @ signed
-    rho = np.where(rhs < 0, -1.0, 1.0)
     # a cut g @ x <= limit reads g @ x_s <= limit in the scaled coefficients
     g = np.empty((0, m)) if cuts is None else np.ldexp(cuts, col_exp - b_exp)
-    matrix = np.hstack([(signed * rho).T, np.eye(m), (g * rho).T])
+    matrix = np.hstack([signed.T, np.eye(m), g.T])
     cost = np.concatenate([np.abs(b_s), np.zeros(m), np.full(len(g), limit)])
     upper = np.concatenate([2.0 * w_s, np.zeros(m), np.full(len(g), np.inf)])
+    at_upper = np.zeros(upper.size, dtype=bool)
     if start is not None:
-        start = np.concatenate([w_s - sigma * np.ldexp(start, w_exp), np.zeros(m + len(g))])
+        # d_i = -sigma_i w_i, z_i = 2 w_i, where the residual opposes sigma_i
+        at_upper[:n] = sigma * (b_s - a_s @ np.ldexp(start, b_exp - col_exp)) < 0
     result = primal_simplex(
-        matrix, rhs * rho, cost, list(range(n, n + m)), upper=upper, start=start
+        matrix, w_s @ signed, cost, list(range(n, n + m)), upper=upper, at_upper=at_upper
     )
 
-    # the row multipliers are the scaled coefficients, up to each row's flip
-    x = np.ldexp(rho * result.duals, col_exp - b_exp)
+    # the row multipliers are the scaled coefficients
+    x = np.ldexp(result.duals, col_exp - b_exp)
     duals = np.ldexp(sigma * (w_s - result.x[:n]), -w_exp)
     objective = float(weights @ np.abs(b - a @ x))
     return x, duals, objective
-
-
-def child_dual(dual: np.ndarray, agg: AggregatedInstance) -> np.ndarray | None:
-    """The dual of ``agg``'s parent partition handed down to its clusters.
-
-    Child j of cluster c gets ``d_c * w_j / w_c``, which keeps ``A^T d`` and
-    ``b @ d`` (the parent's means are the weighted means of their
-    children's) and every |d_j| <= w_j. Dividing first keeps a parent at a
-    bound, d_c = +-w_c, exactly at +-w_j. None when ``agg`` has no parent.
-    """
-    if agg.parent is None:
-        return None
-    weights = np.bincount(agg.parent, weights=agg.weights)
-    if weights.shape != dual.shape:
-        raise ValueError(f"a dual of {dual.size} entries for {weights.size} parent clusters")
-    return (dual / weights)[agg.parent] * agg.weights
 
 
 def solve_weighted_lad(
@@ -173,14 +152,14 @@ def solve_weighted_lad(
 ) -> RegressionSolution:
     """Globally optimal weighted LAD coefficients for an aggregated instance.
 
-    ``prior`` is the solution on the partition that ``agg``'s was split
-    from; its dual, handed down by ``child_dual``, warm-starts the LP.
+    ``prior``, a solution on another partition of the same data, starts the
+    LP from its coefficients' residual signs.
     """
     if agg.B_agg.shape[1] != 1:
         raise ValueError("weighted LAD expects a single target column")
-    start = None if prior is None else child_dual(prior.dual, agg)
-    x, d, objective = weighted_lad_lp(agg.B_agg[:, 0], agg.A_agg, agg.weights, start=start)
-    return RegressionSolution(coefficients=x, objective=objective, dual=d)
+    start = None if prior is None else prior.coefficients
+    x, _, objective = weighted_lad_lp(agg.B_agg[:, 0], agg.A_agg, agg.weights, start=start)
+    return RegressionSolution(coefficients=x, objective=objective)
 
 
 def solve_subset_selection(
@@ -207,8 +186,8 @@ def solve_subset_selection(
     the full optimum, which is at least the best support's aggregated
     optimum, by more than the tie allowance. A skipped support can neither
     win nor tie, so the result is the unpruned solve's support. Each
-    solved support whose dual ``previous`` carries, on the parent of
-    ``agg``'s partition, starts its LP from that dual (``child_dual``).
+    solved support whose fit ``previous`` carries starts its LP from that
+    fit's residual signs.
     """
     m = agg.A_agg.shape[1]
     if not 1 <= p <= m:
@@ -234,7 +213,7 @@ def solve_subset_selection(
             )
         bounds = previous.support_bounds.copy()
         skip = bounds > incumbent + bound_slack(incumbent, bounds, scale)
-        carried = previous.duals
+        carried = previous.fits
     if skip.all():
         raise LowerBoundViolationError(
             f"incumbent {prior[1]} lies below every support's aggregated bound"
@@ -242,12 +221,10 @@ def solve_subset_selection(
 
     supports = list(combinations(range(m), p))
     fits = [None] * n_supports
-    duals = [None] * n_supports
     solved = np.flatnonzero(~skip)
     for i in solved.tolist():
-        start = None if carried[i] is None else child_dual(carried[i], agg)
-        fits[i], duals[i], bounds[i] = weighted_lad_lp(
-            b, a[:, list(supports[i])], agg.weights, start=start
+        fits[i], _, bounds[i] = weighted_lad_lp(
+            b, a[:, list(supports[i])], agg.weights, start=carried[i]
         )
     low = bounds[solved].min()
     best = int(solved[np.argmax(bounds[solved] <= low + bound_slack(bounds[solved], low, scale))])
@@ -258,5 +235,5 @@ def solve_subset_selection(
         coefficients=x_full,
         objective=float(bounds[best]),
         support_bounds=bounds,
-        duals=tuple(duals),
+        fits=tuple(fits),
     )

@@ -125,23 +125,34 @@ def check_optimal_basis(res, a, b, c, upper, tol=1e-9):
 def test_random_boxed_lps_match_vertex_enumeration(rng):
     from oracles import boxed_lp_vertex_oracle
 
-    for trial in range(150):
+    for trial in range(240):
         rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         structural = rng.uniform(-2.0, 2.0, size=(rows, cols))
         a = np.hstack([structural, np.eye(rows)])
         b = rng.uniform(0.0, 3.0, size=rows)
         c = rng.standard_normal(cols + rows)
         upper = np.concatenate([rng.uniform(0.5, 3.0, cols), b + rng.uniform(0.0, 3.0, rows)])
-        artificial = trial % 3 == 0
+        # structural columns starting at their upper bound: with artificials
+        # any mask is valid, and a row whose artificial would start negative
+        # is negated
+        at_upper = np.concatenate([rng.random(cols) < 0.5, np.zeros(rows, dtype=bool)])
+        basis = list(range(cols, cols + rows))
+        artificial = trial % 3 != 0
         if artificial:
             # identity columns fixed at zero: phase one must drive them out
             upper[cols:] = 0.0
+        else:
+            slack = b - structural[:, at_upper[:cols]] @ upper[:cols][at_upper[:cols]]
+            if np.any((slack < 0) | (slack > upper[cols:])):
+                with pytest.raises(ValueError, match="outside its bounds"):
+                    primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
+                at_upper[:] = False
         expected = boxed_lp_vertex_oracle(a, b, c, upper)
         if np.isinf(expected):
             with pytest.raises(SimplexError):
-                primal_simplex(a, b, c, list(range(cols, cols + rows)), upper=upper)
+                primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
             continue
-        res = primal_simplex(a, b, c, list(range(cols, cols + rows)), upper=upper)
+        res = primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
         assert abs(res.objective - expected) <= 1e-9 * (1.0 + abs(expected))
         check_optimal_basis(res, a, b, c, upper)
 
