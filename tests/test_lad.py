@@ -342,6 +342,41 @@ class TestWarmStart:
                 steps[key] += result.pivots + result.flips
         assert steps["warm"] < steps["cold"]
 
+    def test_start_with_more_free_entries_than_rows(self, rng, simplex_results):
+        # a start that fits more than m rows exactly leaves their residual
+        # signs, and so their starting bounds, undecided by the fit
+        for _ in range(30):
+            n, m = int(rng.integers(8, 30)), int(rng.integers(1, 4))
+            a = rng.integers(-5, 6, size=(n, m)).astype(float)
+            x0 = rng.integers(-3, 4, size=m).astype(float)
+            b = a @ x0
+            exact = int(rng.integers(m + 1, n))
+            b[exact:] += rng.integers(-4, 5, size=n - exact)
+            w = rng.integers(1, 5, size=n).astype(float)
+            assert np.count_nonzero(b - a @ x0 == 0) > m
+            _, _, cold = lad.weighted_lad_lp(b, a, w)
+            _, warm_d, warm = lad.weighted_lad_lp(b, a, w, start=x0)
+            assert abs(warm - cold) <= bound_slack(warm, cold, float(w @ np.abs(b)))
+            assert np.all(np.abs(warm_d) <= w)
+            assert np.all(np.abs(a.T @ warm_d) <= 1e-9 * (np.abs(a).T @ w))
+            assert abs(b @ warm_d - warm) <= 1e-9 * (1 + float(w @ np.abs(b)))
+
+    def test_inconsistent_start_is_ignored(self, rng, simplex_results):
+        # a start whose residual signs all agree with the target's sets no
+        # bound the cold start does not, however far its fit is from the data
+        a = rng.standard_normal((20, 2))
+        b = rng.standard_normal(20)
+        w = np.ones(20)
+        cold = lad.weighted_lad_lp(b, a, w)
+        small = 1e-3 * np.min(np.abs(b)) / np.abs(a).sum(axis=1).max()
+        for start in (np.zeros(2), np.full(2, small)):
+            assert np.all(np.sign(b - a @ start) == np.sign(b))
+            warm = lad.weighted_lad_lp(b, a, w, start=start)
+            for left, right in zip(cold, warm):
+                assert np.array_equal(left, right)
+            cold_run, warm_run = simplex_results[0], simplex_results[-1]
+            assert (warm_run.pivots, warm_run.flips) == (cold_run.pivots, cold_run.flips)
+
     @pytest.mark.parametrize("kind", ["normal", "integer", "duplicated", "exact", "scaled"])
     def test_any_coefficient_start_reaches_the_cold_optimum(self, kind):
         # every bound pattern is a valid start, however far off its fit
