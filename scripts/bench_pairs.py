@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternation and print each arm's medians.
+
+    python3 scripts/bench_pairs.py OLD NEW --workload lad-tall --pairs 5 --seconds 30
+
+Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T
+--trace 0`` once in each checkout, one after the other; the arm that goes
+first alternates from pair to pair, so neither always runs on a machine the
+other has just warmed. Both arms of a pair solve the pool in the same order.
+After each run the script reads the run's JSON result line, its
+``wall_solve_s_p50`` line and its ``perfbench/out/rows-*.jsonl`` file, and
+prints one line per run. At the end it prints, per arm, the medians over
+the pairs of
+
+    solve_s_p50 wall_solve_s_p50 kernel_s setup_s peak_rss_mb
+
+(``kernel_s`` is the median of the run's per-solve calibration times) and
+the quartiles of ``solve_s_p50``, then in how many pairs NEW read a lower
+``solve_s_p50`` than OLD.
+
+The normalized times divide each wall time by a calibration kernel timed in
+the same process, and that kernel's speed can move with what the solver
+allocates, so a record should give the raw wall times and ``kernel_s`` next
+to the normalized ones. Nothing is written under ``perfbench/`` except what
+the runs themselves write to ``perfbench/out/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+FIELDS = ("solve_s_p50", "wall_solve_s_p50", "kernel_s", "setup_s", "peak_rss_mb")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``checkout``; its metrics by FIELDS name."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"run in {checkout} failed:\n{proc.stderr[-2000:]}")
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    out["failed"] = result["failed"]
+    wall = next(line for line in lines if line.startswith("wall_solve_s_p50 "))
+    out["wall_solve_s_p50"] = float(wall.split()[1])
+    rows_file = checkout / "perfbench" / "out" / f"rows-{workload}-seed{seed}-trace0.jsonl"
+    rows = [json.loads(line) for line in rows_file.read_text().splitlines()]
+    out["kernel_s"] = statistics.median(r["kernel_s"] for r in rows)
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="checkout of the baseline")
+    parser.add_argument("new", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args()
+    arms = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for path in arms.values():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"{path} has no perfbench/run.py")
+
+    runs: dict[str, list[dict]] = {"old": [], "new": []}
+    print("pair arm " + " ".join(FIELDS) + " failed")
+    for i in range(args.pairs):
+        order = ("old", "new") if i % 2 == 0 else ("new", "old")
+        for arm in order:
+            r = run_once(arms[arm], args.workload, args.seed + i, args.seconds)
+            runs[arm].append(r)
+            print(f"{i} {arm} " + " ".join(f"{r[f]:.6g}" for f in FIELDS) + f" {r['failed']}",
+                  flush=True)
+
+    print(f"# {args.workload}: medians over {args.pairs} pairs of {args.seconds:g} s runs")
+    for arm, rs in runs.items():
+        medians = " ".join(f"{f} {statistics.median(r[f] for r in rs):.6g}" for f in FIELDS)
+        p50 = [r["solve_s_p50"] for r in rs]
+        quartiles = statistics.quantiles(p50, n=4) if len(p50) > 1 else [p50[0]] * 3
+        print(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
+    lower = sum(n["solve_s_p50"] < o["solve_s_p50"] for o, n in zip(runs["old"], runs["new"]))
+    print(f"new solve_s_p50 lower in {lower} of {args.pairs} pairs")
+
+
+if __name__ == "__main__":
+    main()

@@ -121,19 +121,25 @@ def pca_projection_features(A: DataMatrix, p: int) -> DataMatrix:
 def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition:
     """Single assignment pass of k-means with seeded distinct-row centers.
 
-    Every row joins its nearest center (ties to the lowest center index);
-    centers are never updated and empty clusters are dropped.
+    Every row joins its nearest center; centers are never updated and empty
+    clusters are dropped. Rows are scored by one matrix product, ‖c‖² − 2·x·cᵀ
+    (the row's own ‖x‖² does not change which center is nearest), on
+    features centred at the centers' mean so that a large common offset
+    cancels before the product. Ties go to the lowest center index among
+    equal computed scores.
     """
     n = features.rows
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
     rng = np.random.default_rng(seed)
-    center_rows = rng.choice(n, size=k, replace=False)
     vals = features.values
-    centers = vals[center_rows, :]
-    sq = ((vals[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(sq, axis=1)
-    return ClusterPartition.from_labels(labels)
+    centers = vals[rng.choice(n, size=k, replace=False), :]
+    mid = centers.mean(axis=0)
+    centers -= mid
+    score = (vals - mid) @ centers.T
+    score *= -2.0
+    score += (centers * centers).sum(axis=1)
+    return ClusterPartition.from_labels(np.argmin(score, axis=1))
 
 
 def build_initial_partition(

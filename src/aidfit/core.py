@@ -143,7 +143,9 @@ class ClusterPartition:
         self.parent = parent
         self._labels = labels
         if hint is None:
-            self.order = np.argsort(labels, kind="stable")
+            # numpy's stable sort of 16-bit keys is a radix sort, O(n)
+            keys = labels.astype(np.uint16) if count <= 1 << 16 else labels
+            self.order = np.argsort(keys, kind="stable")
         else:
             self.order = hint[np.argsort(labels[hint], kind="stable")]
         self.sizes = np.bincount(labels, minlength=count)
@@ -195,6 +197,10 @@ class ClusterPartition:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise PartitionError(f"labels must be one-dimensional, got ndim={labels.ndim}")
+        if labels.size and labels.min() >= 0 and labels.max() < labels.size:
+            # number the labels present in O(n), without sorting
+            rank = np.cumsum(np.bincount(labels) > 0) - 1
+            return ClusterPartition._indexed(rank[labels], int(rank[-1]) + 1)
         values, compact = np.unique(labels, return_inverse=True)
         return ClusterPartition._indexed(compact.astype(np.int64, copy=False), values.size)
 

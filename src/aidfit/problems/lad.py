@@ -92,6 +92,11 @@ def _unit_exponents(values: np.ndarray) -> np.ndarray:
     return np.where(peak > 0.0, 1 - exponent, 0)
 
 
+def _lad_exponents(b: np.ndarray, a: np.ndarray, weights: np.ndarray) -> tuple:
+    """The scaling exponents of each column of ``a``, of ``b`` and of ``weights``."""
+    return _unit_exponents(a), int(_unit_exponents(b)), int(_unit_exponents(weights))
+
+
 def weighted_lad_lp(
     b: np.ndarray,
     a: np.ndarray,
@@ -99,6 +104,8 @@ def weighted_lad_lp(
     cuts: np.ndarray | None = None,
     limit: float = 0.0,
     start: np.ndarray | None = None,
+    *,
+    _exponents: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly, subject to
     ``g @ x <= limit`` for each row g of ``cuts``.
@@ -110,6 +117,8 @@ def weighted_lad_lp(
 
     ``start`` is a coefficient vector whose residual signs give the LP's
     starting bound pattern (see the module docstring); x = 0 when omitted.
+    ``_exponents`` is ``_lad_exponents(b, a, weights)`` when a caller that
+    solves many LPs over columns of one matrix has computed it already.
     """
     n, m = a.shape
     if b.shape != (n,):
@@ -117,9 +126,7 @@ def weighted_lad_lp(
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    col_exp = _unit_exponents(a)
-    b_exp = int(_unit_exponents(b))
-    w_exp = int(_unit_exponents(weights))
+    col_exp, b_exp, w_exp = _exponents or _lad_exponents(b, a, weights)
     a_s = np.ldexp(a, col_exp)
     b_s = np.ldexp(b, b_exp)
     w_s = np.ldexp(np.asarray(weights, dtype=float), w_exp)
@@ -222,9 +229,13 @@ def solve_subset_selection(
     supports = list(combinations(range(m), p))
     fits = [None] * n_supports
     solved = np.flatnonzero(~skip)
+    # a column's exponent does not depend on the support it sits in
+    col_exp, b_exp, w_exp = _lad_exponents(b, a, agg.weights)
     for i in solved.tolist():
+        cols = list(supports[i])
         fits[i], _, bounds[i] = weighted_lad_lp(
-            b, a[:, list(supports[i])], agg.weights, start=carried[i]
+            b, a[:, cols], agg.weights, start=carried[i],
+            _exponents=(col_exp[cols], b_exp, w_exp),
         )
     low = bounds[solved].min()
     best = int(solved[np.argmax(bounds[solved] <= low + bound_slack(bounds[solved], low, scale))])

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aidfit.clustering import (
     InitialClusterConfig,
@@ -41,6 +46,51 @@ class TestKmeansOnePass:
             groups.setdefault(lab, []).append(i)
         expected = tuple(tuple(groups[k]) for k in sorted(groups))
         assert part.clusters == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_nearest_center_oracle(self, data):
+        m = data.draw(st.sampled_from([1, 2, 5]))
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**16))
+        elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+        feats = data.draw(arrays(np.float64, (n, m), elements=elements, unique=True))
+        centers = feats[np.random.default_rng(seed).choice(n, size=k, replace=False)]
+        # a row about as near to two centers as rounding resolves may go to either
+        dist = np.sort(((feats[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+        spread = np.abs(feats).max()
+        assume(k == 1 or (dist[:, 1] - dist[:, 0] > 1e-9 * (1 + m * spread**2)).all())
+        part = kmeans_one_pass(DataMatrix(feats), k, seed)
+        assert part == ClusterPartition.from_labels(nearest_center_labels(feats, centers))
+
+    @pytest.mark.parametrize("offset", [1e8, 1e12])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_large_offset_matches_oracle(self, m, offset):
+        # scoring uncentred features misses over half of these rows
+        feats = np.random.default_rng(5).standard_normal((400, m)) + offset
+        k, seed = 12, 2
+        centers = feats[np.random.default_rng(seed).choice(400, size=k, replace=False)]
+        part = kmeans_one_pass(DataMatrix(feats), k, seed)
+        assert part == ClusterPartition.from_labels(nearest_center_labels(feats, centers))
+
+    @pytest.mark.parametrize("power", [-40, -3, 5, 60])
+    def test_power_of_two_scaling_keeps_the_partition(self, rng, power):
+        feats = rng.standard_normal((300, 3)) + 4.0
+        part = kmeans_one_pass(DataMatrix(feats), 17, seed=4)
+        assert kmeans_one_pass(DataMatrix(np.ldexp(feats, power)), 17, seed=4) == part
+
+    def test_peak_memory_below_two_score_arrays(self, rng):
+        n, k, m = 20_000, 32, 8
+        feats = DataMatrix(rng.standard_normal((n, m)))
+        tracemalloc.start()
+        try:
+            kmeans_one_pass(feats, k, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, k, m) difference tensor alone would be 41 MB
+        assert peak < 2 * n * k * 8
 
     def test_duplicate_rows_drop_empty_clusters(self):
         feats = DataMatrix(np.zeros((5, 2)))

@@ -83,6 +83,23 @@ class TestClusterPartition:
         p = random_partition(rng, n, min(k, n))
         assert sorted(i for c in p.clusters for i in c) == list(range(n))
 
+    @pytest.mark.parametrize("n, count", [(1, 1), (500, 7), (10_000, 150), (70_000, 70_000)])
+    def test_linear_index_matches_unique_and_stable_argsort(self, n, count):
+        # 70 000 clusters do not fit 16-bit sort keys, so the int64 sort runs
+        rng = np.random.default_rng(count)
+        raw = rng.permutation(n) if count == n else 2 * rng.integers(0, count, size=n)
+        part = ClusterPartition.from_labels(raw)
+        values, compact = np.unique(raw, return_inverse=True)
+        assert part.cluster_count == values.size
+        assert np.array_equal(part.labels(), compact)
+        assert np.array_equal(part.order, np.argsort(compact, kind="stable"))
+        assert np.array_equal(part.sizes, np.bincount(compact))
+        # negative labels take the np.unique route
+        shifted = ClusterPartition.from_labels(raw - n)
+        assert shifted == part
+        assert np.array_equal(shifted.order, part.order)
+        assert ClusterPartition(n, part.clusters) == part
+
 
 class TestAggregate:
     def test_mean_of_two_rows(self):

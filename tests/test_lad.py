@@ -312,7 +312,7 @@ def simplex_results(monkeypatch):
 
 class TestWarmStart:
     @pytest.mark.parametrize("kind", ["normal", "integer", "duplicated", "exact", "scaled"])
-    def test_mapped_parent_dual_matches_cold_solve(self, kind):
+    def test_prior_fit_start_matches_cold_solve(self, kind):
         rng = np.random.default_rng(11)
         warm = 0
         for m in (3, 4):
