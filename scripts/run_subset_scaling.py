@@ -2,8 +2,8 @@
 """Scaling study: how aggregation pays off as the row count grows.
 
 Runs best-subset LAD regression at several n, records the terminal cluster
-fraction and iteration counts, and prints a small table. The direct solver
-is skipped by default above 1000 rows (its LP grows quadratically in n).
+fraction and iteration counts, and prints a small table. Every size is also
+solved directly on all n rows, the baseline of ``rho`` and ``delta``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ def main() -> None:
     parser.add_argument("--m", type=int, default=6)
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--direct-up-to", type=int, default=1000)
     parser.add_argument("--out", type=Path, default=Path("subset_scaling.json"))
     args = parser.parse_args()
 
@@ -35,7 +34,6 @@ def main() -> None:
             {"n": [n], "m": [args.m], "p": [args.p]},
             reps=args.reps,
             base_settings=RunSettings(problem="subset", tol=0.0, p=args.p),
-            skip_direct=n > args.direct_up_to,
         )
         ok = [r for r in rows if r["error"] is None]
         r_agg = float(np.median([r["aid"]["aggregation_rate"] for r in ok]))

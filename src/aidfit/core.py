@@ -493,31 +493,31 @@ def check_optimality(
 
     ``residual`` is ``b - problem.apply_f(solution, a)`` when the caller
     already has it; otherwise it is evaluated here. Returns the verdict, the
-    indices of clusters with two or more distinct patterns, and the (n, q)
-    int8 sign array from ``residual_signs``, with ``eps_sign`` its zero
-    band (a scalar, or one band per residual entry). A cluster disagrees exactly
-    when the smallest and largest ``sign_codes`` of its rows differ.
+    indices of clusters with two or more distinct patterns, and each row's
+    ``sign_codes`` value of its ``residual_signs`` pattern, with ``eps_sign``
+    its zero band (a scalar, or one band per residual entry). A cluster
+    disagrees exactly when the smallest and largest codes of its rows differ.
     """
     if residual is None:
         residual = _residual(b, problem.apply_f(solution, a))
-    signs = residual_signs(residual, eps_sign)
-    codes = sign_codes(signs)[partition.order]
-    low = np.minimum.reduceat(codes, partition.starts)
-    high = np.maximum.reduceat(codes, partition.starts)
+    codes = sign_codes(residual_signs(residual, eps_sign))
+    ordered = codes[partition.order]
+    low = np.minimum.reduceat(ordered, partition.starts)
+    high = np.maximum.reduceat(ordered, partition.starts)
     violating = np.flatnonzero(low != high).tolist()
-    return (len(violating) == 0), violating, signs
+    return (len(violating) == 0), violating, codes
 
 
 def decluster(
     partition: ClusterPartition,
-    signs,
+    codes: np.ndarray,
     violating: Sequence[int],
 ) -> ClusterPartition:
     """Split each violating cluster into its mode-pattern rows and the rest.
 
-    ``signs`` is the (n, q) +1/-1 array from ``check_optimality``. A
-    cluster's mode is its most common pattern, the smallest ``sign_codes``
-    value on a tie (+1 before -1, first column first). The mode rows take
+    ``codes`` holds each row's ``sign_codes`` value, as ``check_optimality``
+    returns them. A cluster's mode is its most common pattern, the smallest
+    code on a tie (+1 before -1, first column first). The mode rows take
     the cluster's slot and the rest follow right after it; other clusters
     are copied unchanged and move right to make room.
     """
@@ -527,10 +527,9 @@ def decluster(
         raise DeclusterError("violating indices outside the cluster range")
     split = np.zeros(k, dtype=bool)
     split[index] = True
-    signs = np.asarray(signs)
+    codes = np.asarray(codes, dtype=np.int64)
     labels = partition.labels()
-    codes = sign_codes(signs)
-    width = 1 << signs.shape[1]
+    width = int(codes.max(initial=0)) + 1
     table = np.bincount(labels * width + codes, minlength=k * width).reshape(k, width)
     single = split & (np.count_nonzero(table, axis=1) < 2)
     if single.any():
@@ -690,7 +689,7 @@ def run_aid(
             )
         )
         band = DEFAULT_EPS_SIGN * (np.abs(b) + np.abs(fitted))
-        satisfied, violating, signs = check_optimality(
+        satisfied, violating, codes = check_optimality(
             b, a, problem, solution, partition, band, residual=residual
         )
         if satisfied and partition.cluster_count == n:
@@ -716,7 +715,7 @@ def run_aid(
         if satisfied:
             partition = refine(a, problem, partition, terms)
         else:
-            partition = decluster(partition, signs, violating)
+            partition = decluster(partition, codes, violating)
 
     report = AidReport(
         n=n,

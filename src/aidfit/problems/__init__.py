@@ -21,7 +21,7 @@ from .pca import (
     solve_weighted_l1pca,
     weighted_to_unweighted_pca,
 )
-from .simplex import CycleGuardError, SimplexError, UnboundedError, primal_simplex
+from .simplex import CycleGuardError, SimplexError, primal_simplex
 from .sphere import SphereNotConvergedError, SphereSolution, solve_sphere_lad
 
 __all__ = [
@@ -47,6 +47,5 @@ __all__ = [
     "SphereNotConvergedError",
     "DegenerateColumnError",
     "SimplexError",
-    "UnboundedError",
     "CycleGuardError",
 ]

@@ -11,16 +11,20 @@ the fit x = 0, and the dual becomes the bounded LP
 
     min sum_i |b_i| z_i  subject to  (sigma * A)^T z = sum_i sigma_i w_i a_i.
 
-It is solved by ``simplex.primal_simplex`` from a basis of one artificial
-column per row, so a pivot touches about m x (k + m) cells for k data rows
-and m coefficients. The coefficients are the row multipliers, solved from
-the final basis like z itself, so the result depends on that basis only.
+It is solved by the dual simplex of ``simplex.primal_simplex`` from a
+basis of one artificial column per row, so an iteration reads one row of
+B^-1 A, about m x (k + m) cells, for k data rows and m coefficients. The
+coefficients are the row multipliers, solved from the final basis like z
+itself, so the result depends on that basis only.
 
-Every solve starts from the residual signs of a fit: d_i = w_i sign(r_i),
-a corner of the box, with a zero residual counting as the sign of b_i. A
-cold solve uses the fit x = 0, which puts every z_i at zero. A warm solve
-uses the previous optimum's coefficients, whose signs already agree on
-most rows, so phases one and two take fewer steps from there.
+Every solve starts from a fit x0: the artificials' cost is x0, which makes
+x0 the start basis's row multipliers, and row i's reduced cost
+sigma_i (b_i - a_i @ x0), sigma_i times its residual. The start is then
+dual feasible at the corner d_i = w_i sign(r_i) of the box, a zero
+residual counting as the sign of b_i. A cold solve uses the fit x0 = 0,
+which puts every z_i at zero. A warm solve uses the previous optimum's
+coefficients, whose signs already agree on most rows, so fewer iterations
+remain from there.
 
 Before the solve every column of A, the target and the weights are scaled
 by powers of two so that each one's largest magnitude lies in [1, 2); this
@@ -115,8 +119,9 @@ def weighted_lad_lp(
     ``a.T @ d`` is a nonnegative combination of them), and the objective
     recomputed on the data as given.
 
-    ``start`` is a coefficient vector whose residual signs give the LP's
-    starting bound pattern (see the module docstring); x = 0 when omitted.
+    ``start`` is the coefficient vector the LP starts from, its residual
+    signs giving the starting bound pattern (see the module docstring);
+    x = 0 when omitted.
     ``_exponents`` is ``_lad_exponents(b, a, weights)`` when a caller that
     solves many LPs over columns of one matrix has computed it already.
     """
@@ -137,15 +142,12 @@ def weighted_lad_lp(
     # a cut g @ x <= limit reads g @ x_s <= limit in the scaled coefficients
     g = np.empty((0, m)) if cuts is None else np.ldexp(cuts, col_exp - b_exp)
     matrix = np.hstack([signed.T, np.eye(m), g.T])
-    cost = np.concatenate([np.abs(b_s), np.zeros(m), np.full(len(g), limit)])
+    # the artificials' cost is the scaled start fit, the duals of the start
+    # basis, so row i's reduced cost is sigma_i times its residual
+    y = np.zeros(m) if start is None else np.ldexp(start, b_exp - col_exp)
+    cost = np.concatenate([np.abs(b_s), y, np.full(len(g), limit)])
     upper = np.concatenate([2.0 * w_s, np.zeros(m), np.full(len(g), np.inf)])
-    at_upper = np.zeros(upper.size, dtype=bool)
-    if start is not None:
-        # d_i = -sigma_i w_i, z_i = 2 w_i, where the residual opposes sigma_i
-        at_upper[:n] = sigma * (b_s - a_s @ np.ldexp(start, b_exp - col_exp)) < 0
-    result = primal_simplex(
-        matrix, w_s @ signed, cost, list(range(n, n + m)), upper=upper, at_upper=at_upper
-    )
+    result = primal_simplex(matrix, w_s @ signed, cost, list(range(n, n + m)), upper=upper)
 
     # the row multipliers are the scaled coefficients
     x = np.ldexp(result.duals, col_exp - b_exp)

@@ -33,6 +33,7 @@ from aidfit.core import (
     SolverConfig,
     decluster,
     run_aid,
+    sign_codes,
 )
 from aidfit.data_io import SyntheticSpec, generate_instance
 from aidfit.linalg import DataMatrix, matmul
@@ -315,7 +316,7 @@ def test_c06_decluster_split_behavior():
     patterns3 = list(itertools.product((1, -1), repeat=3))
     signs = patterns3 + patterns3[:3] + [patterns3[0]]  # pattern 0 is the mode
     part = ClusterPartition(n=len(signs), clusters=(tuple(range(len(signs))),))
-    out = decluster(part, signs, [0])
+    out = decluster(part, sign_codes(signs), [0])
     ok = out.cluster_count == 2
     mode_rows = tuple(i for i, s in enumerate(signs) if s == patterns3[0])
     ok = ok and out.clusters[0] == mode_rows
@@ -323,7 +324,7 @@ def test_c06_decluster_split_behavior():
     # a mixed partition: two violators, one clean cluster
     signs2 = [(1,), (-1,), (1,), (1,), (-1,), (-1,), (1,), (1,)]
     part2 = ClusterPartition(n=8, clusters=((0, 1, 2), (3, 4, 5), (6, 7)))
-    out2 = decluster(part2, signs2, [0, 1])
+    out2 = decluster(part2, sign_codes(signs2), [0, 1])
     ok = ok and out2.cluster_count == 5  # 2 violators split into two each
 
     # growth stays at most 2x across every recorded trace

@@ -21,6 +21,7 @@ from aidfit.core import (
     refine,
     residual_signs,
     run_aid,
+    sign_codes,
     validate_report,
 )
 from aidfit.clustering import (
@@ -171,14 +172,14 @@ class TestCheckOptimality:
         b = a @ np.array([1.0, 2.0]) + 1.0  # all residuals +1 at the true coefficients
         prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": np.array([1.0, 2.0]), "objective": 6.0})()
-        ok, violating, signs = check_optimality(
+        ok, violating, codes = check_optimality(
             b.reshape(-1, 1),
             a,
             prob,
             sol,
             ClusterPartition(n=6, clusters=(tuple(range(6)),)),
         )
-        assert ok and violating == [] and all(s == (1,) for s in signs)
+        assert ok and violating == [] and codes.tolist() == [0] * 6
 
     def test_mixed_cluster_detected(self):
         b = np.array([[1.0], [-1.0]])
@@ -197,7 +198,9 @@ class TestCheckOptimality:
         part = random_partition(rng, n, 5)
         prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": rng.standard_normal(2), "objective": 0.0})()
-        ok, violating, signs = check_optimality(b, a, prob, sol, part)
+        ok, violating, codes = check_optimality(b, a, prob, sol, part)
+        signs = residual_signs(b - prob.apply_f(sol, a))
+        assert np.array_equal(codes, sign_codes(signs))
         ref = pattern_group_check(signs, part.clusters)
         assert violating == ref
         assert ok == (len(ref) == 0)
@@ -211,10 +214,10 @@ class TestCheckOptimality:
         sol = type("S", (), {"coefficients": rng.standard_normal(3), "objective": 0.0})()
         residual = b - prob.apply_f(sol, a)
         for eps_sign in (0.0, 1e-9, 0.5):
-            ok, violating, signs = check_optimality(b, a, prob, sol, part, eps_sign)
+            ok, violating, codes = check_optimality(b, a, prob, sol, part, eps_sign)
             given = check_optimality(b, a, None, None, part, eps_sign, residual=residual)
             assert given[0] == ok and given[1] == violating
-            assert np.array_equal(given[2], signs)
+            assert np.array_equal(given[2], codes)
 
 
 class TestDecluster:
@@ -222,13 +225,13 @@ class TestDecluster:
         # patterns: rows 0..3 -> (+,+), (+,-), (+,-), (-,+); mode is (+,-)
         signs = [(1, 1), (1, -1), (1, -1), (-1, 1)]
         part = ClusterPartition(n=4, clusters=((0, 1, 2, 3),))
-        out = decluster(part, signs, [0])
+        out = decluster(part, sign_codes(signs), [0])
         assert out.clusters == ((1, 2), (0, 3))
         assert out == ClusterPartition(n=4, clusters=((1, 2), (0, 3)))
 
     def test_no_violators_is_noop(self):
         part = ClusterPartition(n=3, clusters=((0, 1), (2,)))
-        out = decluster(part, [(1,), (1,), (1,)], [])
+        out = decluster(part, sign_codes([(1,), (1,), (1,)]), [])
         assert out.clusters == part.clusters
         assert out == part and hash(out) == hash(part)
 
@@ -240,7 +243,7 @@ class TestDecluster:
             for j in range(i + 1, 4):
                 signs = [patterns[i], patterns[j], patterns[i], patterns[j]]
                 part = ClusterPartition(n=4, clusters=((0, 1, 2, 3),))
-                out = decluster(part, signs, [0])
+                out = decluster(part, sign_codes(signs), [0])
                 mode = patterns[min(i, j, key=lambda t: order[patterns[t]])]
                 mode_rows = tuple(k for k in range(4) if signs[k] == mode)
                 assert out.clusters[0] == mode_rows
@@ -248,12 +251,12 @@ class TestDecluster:
     def test_single_pattern_violator_rejected(self):
         part = ClusterPartition(n=2, clusters=((0, 1),))
         with pytest.raises(DeclusterError):
-            decluster(part, [(1,), (1,)], [0])
+            decluster(part, sign_codes([(1,), (1,)]), [0])
 
     def test_bad_cluster_index_rejected(self):
         part = ClusterPartition(n=2, clusters=((0, 1),))
         with pytest.raises(DeclusterError):
-            decluster(part, [(1,), (-1,)], [3])
+            decluster(part, sign_codes([(1,), (-1,)]), [3])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 9999))
@@ -262,7 +265,7 @@ class TestDecluster:
         part = random_partition(rng, n, max(1, n // 4))
         signs = [tuple(1 if v else -1 for v in rng.integers(0, 2, 2)) for _ in range(n)]
         violating = pattern_group_check(signs, part.clusters)
-        out = decluster(part, signs, violating)
+        out = decluster(part, sign_codes(signs), violating)
         assert sorted(i for c in out.clusters for i in c) == list(range(n))
         assert out.cluster_count == part.cluster_count + len(violating)
         assert out.cluster_count <= 2 * part.cluster_count
@@ -291,14 +294,14 @@ class TestArrayPath:
         part = ClusterPartition.from_labels(labels)
         b = np.array(signs, dtype=float)
         a = np.sin(np.arange(3.0 * n)).reshape(n, 3)
-        ok, violating, out_signs = check_optimality(
+        ok, violating, codes = check_optimality(
             b, a, None, None, part, eps_sign=0.0, residual=b
         )
-        assert out_signs.tolist() == [list(s) for s in signs]
+        assert np.array_equal(codes, sign_codes(signs))
         assert violating == pattern_group_check(signs, part.clusters)
         assert ok == (violating == [])
 
-        out = decluster(part, out_signs, violating)
+        out = decluster(part, codes, violating)
         expected = counter_decluster(signs, part.clusters, violating)
         assert out.clusters == expected
         assert out == ClusterPartition(n, expected)

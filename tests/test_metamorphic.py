@@ -1,11 +1,12 @@
-"""Metamorphic checks of ``lad`` and ``subset`` through ``run_aid``.
+"""Metamorphic checks of ``lad``, ``subset`` and ``l1pca`` through ``run_aid``.
 
 Each test transforms an instance in a way whose effect on the optimum is
 known in closed form and runs the whole loop, from a k-means partition of
 the transformed data, on both. Power-of-two scaling rounds nothing inside
-the loop, so it must give the same bits. The other transforms must give the
-same certified optimum, transformed, to a relative tolerance, and on small
-instances the optimum of ``tests/oracles.py``.
+the regression loop, so it must give the same bits. The other transforms
+must give the same certified optimum, transformed, to a relative tolerance,
+and on small instances the optimum of ``tests/oracles.py`` or, for
+``l1pca``, of ``solve_l1pca_exact`` on the untransformed rows.
 """
 
 import numpy as np
@@ -14,7 +15,12 @@ import pytest
 from aidfit.clustering import kmeans_one_pass
 from aidfit.core import AidConfig, run_aid
 from aidfit.linalg import DataMatrix
-from aidfit.problems import LadRegressionProblem, SubsetSelectionProblem
+from aidfit.problems import (
+    LadRegressionProblem,
+    PcaProjectionProblem,
+    SubsetSelectionProblem,
+    solve_l1pca_exact,
+)
 from oracles import lad_vertex_oracle, subset_oracle
 
 P = 2
@@ -165,3 +171,39 @@ def test_small_transformed_instances_match_the_oracles(problem):
             report = solve(problem, target, features, seed, k=3)
             scale = float(np.abs(target).sum())
             assert_close(report.best_objective, expected * factor, scale)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_fewer_rows_than_columns(problem):
+    # with n < m every row can be fitted exactly; a support of p <= n columns
+    # is an ordinary small instance
+    for seed in range(10):
+        rng = np.random.default_rng(seed + 90)
+        a = rng.standard_normal((3, 5))
+        b = rng.standard_normal(3)
+        report = solve(problem, b, a, seed, k=2)
+        scale = float(np.abs(b).sum())
+        if problem == "lad":
+            assert report.best_objective <= REL * scale
+        else:
+            assert_close(report.best_objective, subset_oracle(b, a, np.ones(3), P), scale)
+
+
+def test_l1pca_transformed_instances_match_the_exact_solve():
+    # a scaled copy scales the optimum, a permuted copy keeps it
+    for seed in range(3):
+        rng = np.random.default_rng(seed + 100)
+        a = rng.standard_normal((14, 3))
+        expected = solve_l1pca_exact(DataMatrix(a), 1).objective
+        order = rng.permutation(14)
+        cases = [(a[order], 1.0)] + [
+            (a * factor, factor) for factor in (2.0**-30, 2.0**30, 1e-9, 1e-3, 1e3, 1e9)
+        ]
+        for rows, factor in cases:
+            problem = PcaProjectionProblem(1)
+            initial = kmeans_one_pass(DataMatrix(rows), 3, seed)
+            report = run_aid(
+                problem.zero_target(14), DataMatrix(rows), problem, initial, AidConfig(tol=0.0)
+            )
+            assert report.certified_optimal
+            assert_close(report.best_objective, expected * factor, expected * factor)

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from aidfit.problems.lad import weighted_lad_lp
-from aidfit.problems.simplex import CycleGuardError, SimplexError, UnboundedError, primal_simplex
+from aidfit.problems.simplex import CycleGuardError, SimplexError, primal_simplex
 
 
-def standard_lp(c, a_ub, b_ub):
-    """min c x s.t. a_ub x <= b_ub, x >= 0 with slacks appended (b_ub >= 0)."""
+def standard_lp(c, a_ub, b_ub, bound):
+    """min c x s.t. a_ub x <= b_ub, 0 <= x <= bound with slacks appended.
+
+    ``bound`` is chosen above every feasible x, so the LP keeps the optimum
+    of its unboxed form; it makes the slack start dual feasible."""
     n, m = a_ub.shape
     a_eq = np.hstack([a_ub, np.eye(n)])
     cost = np.concatenate([c, np.zeros(n)])
+    upper = np.concatenate([np.full(m, bound), np.full(n, np.inf)])
     basis = list(range(m, m + n))
-    return a_eq, b_ub, cost, basis
+    return a_eq, b_ub, cost, basis, upper
 
 
 def test_textbook_lp():
@@ -19,8 +23,8 @@ def test_textbook_lp():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
     b = np.array([4.0, 12.0, 18.0])
     c = np.array([-3.0, -5.0])
-    a_eq, rhs, cost, basis = standard_lp(c, a, b)
-    res = primal_simplex(a_eq, rhs, cost, basis)
+    a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 10.0)
+    res = primal_simplex(a_eq, rhs, cost, basis, upper=upper)
     assert abs(res.objective + 36.0) <= 1e-9
     assert np.allclose(res.x[:2], [2.0, 6.0], atol=1e-9)
 
@@ -29,8 +33,8 @@ def test_duals_solve_transposed_system():
     a = np.array([[1.0, 1.0], [2.0, 1.0]])
     b = np.array([4.0, 6.0])
     c = np.array([-2.0, -1.0])
-    a_eq, rhs, cost, basis = standard_lp(c, a, b)
-    res = primal_simplex(a_eq, rhs, cost, basis)
+    a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 10.0)
+    res = primal_simplex(a_eq, rhs, cost, basis, upper=upper)
     # weak duality at optimality: y @ b == objective for equality-form LP
     assert abs(res.duals @ rhs - res.objective) <= 1e-9
 
@@ -41,30 +45,36 @@ def test_duals_are_feasible_and_close_the_gap(rng):
         a = rng.uniform(0.1, 2.0, size=(rows, cols))
         b = rng.uniform(0.0, 5.0, size=rows)
         c = rng.standard_normal(cols)
-        a_eq, rhs, cost, basis = standard_lp(c, a, b)
-        res = primal_simplex(a_eq, rhs, cost, basis)
+        # every feasible x_j is at most 5 / 0.1
+        a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 100.0)
+        res = primal_simplex(a_eq, rhs, cost, basis, upper=upper)
         scale = 1.0 + np.abs(cost).max()
         assert (cost - a_eq.T @ res.duals).min() >= -1e-9 * scale
         assert abs(cost @ res.x - rhs @ res.duals) <= 1e-9 * (1.0 + abs(res.objective))
 
 
-def test_unbounded_detected():
-    # min -x with x free to grow: constraint row 0*x + s = 1
+def test_dual_infeasible_start_rejected():
+    # min -x with x free to grow: its reduced cost is negative and no upper
+    # bound can take it, so the start is not dual feasible
     a_eq = np.array([[0.0, 1.0]])
     rhs = np.array([1.0])
     cost = np.array([-1.0, 0.0])
-    with pytest.raises(UnboundedError):
+    with pytest.raises(ValueError, match="not dual feasible"):
         primal_simplex(a_eq, rhs, cost, [1])
+    # the same column boxed is a valid start
+    res = primal_simplex(a_eq, rhs, cost, [1], upper=np.array([2.0, np.inf]))
+    assert np.array_equal(res.x, [2.0, 1.0])
 
 
 def test_degenerate_ties_terminate():
-    # multiple zero rhs rows force degenerate pivots; Bland must still finish
+    # multiple zero rhs rows force degenerate steps; the solve must still finish
     a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-1.0, -2.0])
-    a_eq, rhs, cost, basis = standard_lp(c, a, b)
-    res = primal_simplex(a_eq, rhs, cost, basis)
+    a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 10.0)
+    res = primal_simplex(a_eq, rhs, cost, basis, upper=upper)
     assert res.pivots < 100
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deterministic_repeat_runs():
@@ -83,12 +93,12 @@ def test_pivot_cap_raises_cycle_guard():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
     b = np.array([4.0, 12.0, 18.0])
     c = np.array([-3.0, -5.0])
-    a_eq, rhs, cost, basis = standard_lp(c, a, b)
+    a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 10.0)
     with pytest.raises(CycleGuardError):
-        primal_simplex(a_eq, rhs, cost, basis, max_pivots=1)
+        primal_simplex(a_eq, rhs, cost, basis, max_pivots=1, upper=upper)
 
 
-def test_bland_terminates_on_degenerate_batch(rng):
+def test_degenerate_integer_batch_terminates(rng):
     # compact version of the anti-cycling sweep; the full 10^4 run is in
     # the acceptance suite
     from conftest import make_agg
@@ -132,34 +142,26 @@ def test_random_boxed_lps_match_vertex_enumeration(rng):
         b = rng.uniform(0.0, 3.0, size=rows)
         c = rng.standard_normal(cols + rows)
         upper = np.concatenate([rng.uniform(0.5, 3.0, cols), b + rng.uniform(0.0, 3.0, rows)])
-        # structural columns starting at their upper bound: with artificials
-        # any mask is valid, and a row whose artificial would start negative
-        # is negated
-        at_upper = np.concatenate([rng.random(cols) < 0.5, np.zeros(rows, dtype=bool)])
         basis = list(range(cols, cols + rows))
-        artificial = trial % 3 != 0
-        if artificial:
-            # identity columns fixed at zero: phase one must drive them out
+        if trial % 3 != 0:
+            # identity columns fixed at zero: artificials that must leave
             upper[cols:] = 0.0
-        else:
-            slack = b - structural[:, at_upper[:cols]] @ upper[:cols][at_upper[:cols]]
-            if np.any((slack < 0) | (slack > upper[cols:])):
-                with pytest.raises(ValueError, match="outside its bounds"):
-                    primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
-                at_upper[:] = False
+        # otherwise slack identity columns, whose starting values take any
+        # sign once the structural columns sit at the bounds their reduced
+        # costs prefer
         expected = boxed_lp_vertex_oracle(a, b, c, upper)
         if np.isinf(expected):
             with pytest.raises(SimplexError):
-                primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
+                primal_simplex(a, b, c, basis, upper=upper)
             continue
-        res = primal_simplex(a, b, c, basis, upper=upper, at_upper=at_upper)
+        res = primal_simplex(a, b, c, basis, upper=upper)
         assert abs(res.objective - expected) <= 1e-9 * (1.0 + abs(expected))
         check_optimal_basis(res, a, b, c, upper)
 
 
 def test_start_at_upper_bound_and_leave_at_upper_bound():
-    # min -x1 - x2  s.t.  x1 + s1 = 2 (s1 <= 2, so it starts at its upper
-    # bound), -x2 + s2 = 1 (s2 <= 3, so it rises to its upper bound)
+    # min -x1 - x2  s.t.  x1 + s1 = 2 (s1 <= 2), -x2 + s2 = 1 (s2 <= 3, so
+    # it ends at its upper bound); x1 and x2 start at their upper bounds
     a = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0]])
     b = np.array([2.0, 1.0])
     c = np.array([-1.0, -1.0, 0.0, 0.0])
@@ -167,7 +169,6 @@ def test_start_at_upper_bound_and_leave_at_upper_bound():
     res = primal_simplex(a, b, c, [2, 3], upper=upper)
     assert np.allclose(res.x, [2.0, 2.0, 0.0, 3.0], atol=1e-12)
     assert res.objective == pytest.approx(-4.0, abs=1e-12)
-    assert res.pivots == 2 and res.flips == 0
     check_optimal_basis(res, a, b, c, upper)
 
 
@@ -178,14 +179,16 @@ def test_pure_bound_flip_path():
     c = np.array([-1.0, -2.0, 0.0])
     upper = np.array([2.0, 3.0, np.inf])
     res = primal_simplex(a, b, c, [2], upper=upper)
-    assert res.pivots == 0 and res.flips == 2
     assert np.array_equal(res.x, [2.0, 3.0, 5.0])
     assert res.objective == -8.0
     check_optimal_basis(res, a, b, c, upper)
 
 
-def beale():
-    """Beale's example, on which Dantzig's rule cycles through degenerate pivots."""
+def test_beale_boxed_matches_vertex_enumeration():
+    # Beale's example, on which Dantzig's primal rule cycles through
+    # degenerate pivots, with every column boxed above its optimal value
+    from oracles import boxed_lp_vertex_oracle
+
     a = np.array(
         [
             [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
@@ -193,20 +196,14 @@ def beale():
             [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
         ]
     )
-    return a, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
-
-
-def test_degenerate_stall_hands_over_to_bland(monkeypatch):
-    import aidfit.problems.simplex as simplex
-
-    a, b, c = beale()
-    res = primal_simplex(a, b, c, [0, 1, 2], max_pivots=200)
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    upper = np.full(7, 2.0)
+    res = primal_simplex(a, b, c, [0, 1, 2], max_pivots=200, upper=upper)
     assert res.objective == pytest.approx(-1.25, abs=1e-12)
+    assert res.objective == pytest.approx(boxed_lp_vertex_oracle(a, b, c, upper), abs=1e-12)
     assert np.allclose(res.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
-    # without the hand-over Dantzig's rule never leaves the degenerate vertex
-    monkeypatch.setattr(simplex, "STALL_PIVOTS", 10**9)
-    with pytest.raises(CycleGuardError):
-        primal_simplex(a, b, c, [0, 1, 2], max_pivots=200)
+    check_optimal_basis(res, a, b, c, upper)
 
 
 def test_weighted_lad_dual_certificate(rng):
