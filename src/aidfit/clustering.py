@@ -28,6 +28,8 @@ __all__ = [
     "build_initial_partition",
 ]
 
+KMEANS_BLOCK = 1 << 20  # scores per row block of kmeans_one_pass
+
 
 @dataclass(frozen=True)
 class InitialClusterConfig:
@@ -122,11 +124,17 @@ def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition
     """Single assignment pass of k-means with seeded distinct-row centers.
 
     Every row joins its nearest center; centers are never updated and empty
-    clusters are dropped. Rows are scored by one matrix product, ‖c‖² − 2·x·cᵀ
+    clusters are dropped. Rows are scored by a matrix product, ‖c‖² − 2·x·cᵀ
     (the row's own ‖x‖² does not change which center is nearest), on
     features centred at the centers' mean so that a large common offset
     cancels before the product. Ties go to the lowest center index among
     equal computed scores.
+
+    The product runs over row blocks of about ``KMEANS_BLOCK`` scores (at
+    least 8 rows), so the scores held at once do not grow with n. A last
+    block of one row joins the block before it: numpy hands a one-row
+    product to GEMV, which rounds differently from the GEMM that scores the
+    other blocks.
     """
     n = features.rows
     if not 1 <= k <= n:
@@ -136,10 +144,17 @@ def kmeans_one_pass(features: DataMatrix, k: int, seed: int) -> ClusterPartition
     centers = vals[rng.choice(n, size=k, replace=False), :]
     mid = centers.mean(axis=0)
     centers -= mid
-    score = (vals - mid) @ centers.T
-    score *= -2.0
-    score += (centers * centers).sum(axis=1)
-    return ClusterPartition.from_labels(np.argmin(score, axis=1))
+    norms = (centers * centers).sum(axis=1)
+    edges = list(range(0, n, max(KMEANS_BLOCK // k, 8)))
+    if len(edges) > 1 and n - edges[-1] == 1:
+        edges.pop()
+    labels = np.empty(n, dtype=np.int64)
+    for start, stop in zip(edges, edges[1:] + [n]):
+        score = (vals[start:stop] - mid) @ centers.T
+        score *= -2.0
+        score += norms
+        labels[start:stop] = np.argmin(score, axis=1)
+    return ClusterPartition.from_labels(labels)
 
 
 def build_initial_partition(

@@ -107,8 +107,7 @@ class PcaProjectionProblem(ProblemDefinition):
         return solve_weighted_l1pca(agg, self.p, cap=config.pca_cap)
 
     def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:
-        rows = [partition.rows(c) for c in range(partition.cluster_count)]
-        return spread_bound_terms(a, rows, self.p)
+        return spread_bound_terms(a, partition, self.p)
 
     def split_cluster(self, a: np.ndarray, cluster: np.ndarray):
         return principal_halves(a, cluster)

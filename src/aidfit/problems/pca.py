@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregatedInstance, SolverConfig
+from ..core import AggregatedInstance, ClusterPartition, SolverConfig
 from ..linalg import DataMatrix
 from .lad import InstanceTooLargeError
 
@@ -131,8 +131,9 @@ def _best_sign_vector(a: np.ndarray) -> int:
     (flipping the whole low half would score higher otherwise), so there the
     expansion has no cancellation and lies within a few ulps per row of the
     direct score. Every entry within ``TIE_REL`` of the running expanded
-    maximum is rescored directly, and the incumbent is replaced only on a
-    strictly higher direct score.
+    maximum is rescored directly, in counter order, and the incumbent is
+    replaced only on a strictly higher direct score. Only the chunk rows
+    whose own maximum reaches that band are searched for such entries.
     """
     th, tl, low_bits = _half_tables(a)
     hi = np.column_stack([th, np.einsum("ij,ij->i", th, th), np.ones(len(th))])
@@ -145,12 +146,14 @@ def _best_sign_vector(a: np.ndarray) -> int:
     for i0 in range(0, len(hi), rows):
         for j0 in range(0, lo.shape[1], cols):
             scores = hi[i0 : i0 + rows] @ lo[:, j0 : j0 + cols]
-            chunk_top = float(scores.max())
-            top = max(top, chunk_top)
-            if chunk_top < top - TIE_REL * abs(top):
+            rowmax = scores.max(axis=1)
+            top = max(top, float(rowmax.max()))
+            floor = top - TIE_REL * abs(top)
+            live = np.flatnonzero(rowmax >= floor)
+            if live.size == 0:
                 continue
-            i, j = np.nonzero(scores >= top - TIE_REL * abs(top))
-            idx = ((i + i0) << low_bits) + j + j0
+            r, j = np.nonzero(scores[live] >= floor)
+            idx = ((live[r] + i0) << low_bits) + j + j0
             exact = _direct_scores(a, idx)
             k = int(np.argmax(exact))
             if exact[k] > best_score:
@@ -199,11 +202,8 @@ def enumeration_fits(rows: int, p: int, cap: int) -> bool:
     return bits < 63 and 2**bits <= cap
 
 
-def spread_bound_terms(a: np.ndarray, clusters, p: int) -> np.ndarray:
+def spread_bound_terms(a: np.ndarray, partition: ClusterPartition, p: int) -> np.ndarray:
     """Per-cluster bound on how far the full objective exceeds the aggregated one.
-
-    ``clusters`` holds each cluster's row indices as an int array (any
-    sequence of ints works).
 
     For every orthonormal m-by-p X and cluster c of w_c rows with mean abar_c,
     sum_{i in c} ||a_i X||_1
@@ -211,18 +211,24 @@ def spread_bound_terms(a: np.ndarray, clusters, p: int) -> np.ndarray:
         <= w_c ||abar_c X||_1 + sqrt(p w_c) ||(A_c - 1 abar_c^T) X||_F
         <= w_c ||abar_c X||_1 + sqrt(p w_c) (sigma_1^2 + ... + sigma_p^2)^(1/2)
     by the triangle inequality, Cauchy-Schwarz and Ky Fan, with sigma_j the
-    singular values of the centred rows. Summed over clusters and added to
-    the aggregated optimum, the terms bound the full optimum from above.
-    Clusters of identical rows get exactly zero.
+    singular values of the centred rows. The sigma_j^2 are the top
+    eigenvalues of the cluster's m-by-m centred scatter, so the rows are
+    gathered and centred once, one small GEMM per cluster fills a (k, m, m)
+    stack, and one ``eigvalsh`` call solves it. Summed over clusters and
+    added to the aggregated optimum, the terms bound the full optimum from
+    above. Clusters of identical rows get exactly zero, tested on the rows
+    themselves: a float mean can differ from the row it repeats.
     """
-    terms = np.zeros(len(clusters))
-    for k, cluster in enumerate(clusters):
-        rows = a[np.asarray(cluster)]
-        if (rows == rows[0]).all():
-            continue
-        sv = np.linalg.svd(rows - rows.mean(axis=0), compute_uv=False)[:p]
-        terms[k] = np.sqrt(p * len(cluster) * float(sv @ sv))
-    return terms
+    starts, sizes = partition.starts, partition.sizes
+    rows = a[partition.order]
+    spread = (np.maximum.reduceat(rows, starts) != np.minimum.reduceat(rows, starts)).any(axis=1)
+    rows -= np.repeat(np.add.reduceat(rows, starts) / sizes[:, None], sizes, axis=0)
+    scatter = np.empty((sizes.size, a.shape[1], a.shape[1]))
+    for c, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        block = rows[start : start + size]
+        np.matmul(block.T, block, out=scatter[c])
+    top = np.maximum(np.linalg.eigvalsh(scatter)[:, -p:], 0.0).sum(axis=1)
+    return np.where(spread, np.sqrt(p * sizes * top), 0.0)
 
 
 def principal_halves(

@@ -398,7 +398,7 @@ def test_c08_subset_scaling():
     )
 
 
-def test_c09_solver_oracles_and_bland():
+def test_c09_solver_oracles_and_degenerate_sweep():
     rng = np.random.default_rng(99)
     ok = True
     detail = []
@@ -471,7 +471,7 @@ def test_c09_solver_oracles_and_bland():
     ok = ok and worst <= 1e-9
     detail.append(f"hyperplane {worst:.2e}")
 
-    # anti-cycling sweep: degenerate-prone integer instances
+    # degenerate sweep: small-integer instances, prone to degenerate vertices
     finished = 0
     for _ in range(10_000):
         n = int(rng.integers(2, 9))
@@ -484,7 +484,7 @@ def test_c09_solver_oracles_and_bland():
         assert abs(sol.objective - recomputed) <= 1e-9
         finished += 1
     ok = ok and finished == 10_000
-    detail.append(f"bland {finished}/10000")
+    detail.append(f"degenerate {finished}/10000")
 
     emit(9, "solvers match independent oracles", ok, "[" + ", ".join(detail) + "]")
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aidfit import clustering
 from aidfit.clustering import (
     InitialClusterConfig,
     build_initial_partition,
@@ -91,6 +92,22 @@ class TestKmeansOnePass:
             tracemalloc.stop()
         # the (n, k, m) difference tensor alone would be 41 MB
         assert peak < 2 * n * k * 8
+
+    def test_row_blocks_give_the_one_block_labels(self, rng, monkeypatch):
+        # 8-row blocks; every n leaves one row after the last full block. That
+        # row lies midway between two centers, where a one-row product (GEMV)
+        # rounds differently from the GEMM and can pick the other center.
+        k, seed = 13, 6
+        cases = []
+        for n in range(105, 1305, 8):
+            feats = rng.standard_normal((n, 3)) + 2.0
+            centers = np.random.default_rng(seed).choice(n, size=k, replace=False)
+            i, j = rng.choice(centers[centers != n - 1], size=2, replace=False)
+            feats[-1] = (feats[i] + feats[j]) / 2.0
+            cases.append((DataMatrix(feats), kmeans_one_pass(DataMatrix(feats), k, seed)))
+        monkeypatch.setattr(clustering, "KMEANS_BLOCK", 1)
+        for feats, whole in cases:
+            assert kmeans_one_pass(feats, k, seed) == whole, feats.rows
 
     def test_duplicate_rows_drop_empty_clusters(self):
         feats = DataMatrix(np.zeros((5, 2)))

@@ -172,6 +172,27 @@ class TestTieBreak:
                 expected = l1pca_first_maximizer_oracle(a * scale)
                 assert np.array_equal(sol.sign_matrix[:, 0], expected), (n, kind)
 
+    @pytest.mark.parametrize("kind", ["integer", "zero-row"])
+    def test_p1_ties_across_rows_of_one_chunk(self, rng, monkeypatch, kind):
+        # with 64 scores per chunk and n <= 9 each chunk spans 4 or more
+        # high-half rows; copies of one high-half row give equal maxima to
+        # the rows whose copies cancel, and with integer data or a zero
+        # high-half row the maximizers often lie in several rows of a chunk
+        monkeypatch.setattr(pca, "CHUNK", 64)
+        for n in range(5, 10):
+            split = n - n // 2  # first low-half row
+            for _ in range(40):
+                m = int(rng.integers(1, 5))
+                if kind == "integer":
+                    a = rng.integers(-2, 3, size=(n, m)).astype(float)
+                else:
+                    a = rng.standard_normal((n, m))
+                    a[rng.integers(1, split)] = 0.0
+                a[rng.integers(1, split, size=2)] = a[rng.integers(1, split)]
+                sol = solve_l1pca_exact(DataMatrix(a), p=1)
+                expected = l1pca_first_maximizer_oracle(a)
+                assert np.array_equal(sol.sign_matrix[:, 0], expected), (n, a)
+
     def test_all_zero_rows_return_counter_zero_one_chunk_at_a_time(self, monkeypatch):
         # every sign vector ties, so every one is rescored, a chunk at a time
         batches = []
@@ -279,7 +300,7 @@ class TestUpperBound:
             part = random_clusters(rng, n, int(rng.integers(1, n + 1)))
             agg = aggregate(np.zeros((n, p)), a, part)
             lower = solve_weighted_l1pca(agg, p).objective
-            upper = lower + spread_bound_terms(a, part.clusters, p).sum()
+            upper = lower + spread_bound_terms(a, part, p).sum()
             optimum = l1pca_enumeration_oracle(a, p)
             assert lower <= optimum + 1e-9
             assert upper >= optimum - 1e-9
@@ -287,9 +308,33 @@ class TestUpperBound:
     def test_terms_vanish_exactly_on_identical_rows(self, rng):
         row = rng.standard_normal(3) / 3.0
         a = np.vstack([np.tile(row, (5, 1)), rng.standard_normal((2, 3))])
-        terms = spread_bound_terms(a, ((0, 1, 2, 3, 4), (5,), (6,)), 2)
+        terms = spread_bound_terms(a, ClusterPartition(7, ((0, 1, 2, 3, 4), (5,), (6,))), 2)
         assert terms.tolist() == [0.0, 0.0, 0.0]
-        assert spread_bound_terms(a, ((0, 1, 2, 3, 4, 5),), 1)[0] > 0.0
+        assert spread_bound_terms(a, ClusterPartition(7, ((0, 1, 2, 3, 4, 5), (6,))), 1)[0] > 0.0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_terms_match_per_cluster_svd(self, rng, p):
+        # cluster 0 holds three copies of a row whose float mean is not the
+        # row itself; the last two clusters are singletons
+        repeated = np.tile([0.1, -0.7, 0.3, 0.1], (3, 1))
+        for _ in range(30):
+            n = int(rng.integers(5, 40))
+            m = int(rng.integers(p, 5))
+            a = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4)
+            a[:3] = repeated[:, :m]
+            labels = rng.integers(0, int(rng.integers(1, n)), size=n)
+            labels[:3] = -1
+            labels[rng.choice(np.arange(3, n), size=2, replace=False)] = [n, n + 1]
+            part = ClusterPartition.from_labels(labels)
+            terms = spread_bound_terms(a, part, p)
+            for c in range(part.cluster_count):
+                rows = a[part.rows(c)]
+                if c == 0:
+                    assert terms[c] == 0.0
+                    continue
+                sv = np.linalg.svd(rows - rows.mean(axis=0), compute_uv=False)[:p]
+                expected = np.sqrt(p * len(rows) * float(sv @ sv))
+                assert abs(terms[c] - expected) <= 1e-12 * expected
 
     def test_budget_matches_solver_cap(self, rng):
         assert enumeration_fits(5, 1, 16) and not enumeration_fits(6, 1, 16)
