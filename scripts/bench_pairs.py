@@ -12,7 +12,7 @@ After each run the script reads the run's JSON result line, its
 prints one line per run. At the end it prints, per arm, the medians over
 the pairs of
 
-    solve_s_p50 wall_solve_s_p50 kernel_s setup_s peak_rss_mb
+    solve_s_p50 solves_per_s wall_solve_s_p50 kernel_s setup_s peak_rss_mb
 
 (``kernel_s`` is the median of the run's per-solve calibration times) and
 the quartiles of ``solve_s_p50``, then in how many pairs NEW read a lower
@@ -34,7 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-FIELDS = ("solve_s_p50", "wall_solve_s_p50", "kernel_s", "setup_s", "peak_rss_mb")
+FIELDS = ("solve_s_p50", "solves_per_s", "wall_solve_s_p50", "kernel_s", "setup_s", "peak_rss_mb")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -27,7 +27,10 @@ def main() -> None:
     args = parser.parse_args()
 
     all_rows = []
-    print(f"{'n':>6} {'med r_agg':>10} {'med T':>6} {'med time(s)':>12} {'med delta':>10}")
+    print(
+        f"{'n':>6} {'med r_agg':>10} {'med T':>6} {'med time(s)':>12} {'med rho':>8}"
+        f" {'med delta':>10}"
+    )
     for n in args.sizes:
         rows, _ = run_benchmark(
             "subset",
@@ -39,9 +42,9 @@ def main() -> None:
         r_agg = float(np.median([r["aid"]["aggregation_rate"] for r in ok]))
         iters = float(np.median([r["aid"]["iterations_run"] for r in ok]))
         wall = float(np.median([r["aid"]["wall_time_s"] for r in ok]))
-        deltas = [r["delta"] for r in ok if "delta" in r]
-        delta = float(np.median(deltas)) if deltas else float("nan")
-        print(f"{n:>6} {r_agg:>10.4f} {iters:>6.0f} {wall:>12.2f} {delta:>10.2e}")
+        rho = float(np.median([r["rho"] for r in ok]))
+        delta = float(np.median([r["delta"] for r in ok]))
+        print(f"{n:>6} {r_agg:>10.4f} {iters:>6.0f} {wall:>12.3f} {rho:>8.2f} {delta:>10.2e}")
         all_rows.extend(rows)
     args.out.write_text(json.dumps(all_rows, indent=2, sort_keys=True) + "\n")
     print(f"rows written to {args.out}")

@@ -1,9 +1,9 @@
 """Initial cluster construction.
 
 The engine accepts any starting partition; these helpers build the two
-feature spaces that work well in practice (residuals of a few rough
-regression fits, or projections onto the leading L2 principal components)
-and run a single seeded assignment pass of k-means over them.
+feature spaces that work well in practice (residuals of a few exact LAD
+fits, one driver iteration from singletons each, or projections onto the
+leading L2 principal components) and run one seeded k-means pass on them.
 """
 
 from __future__ import annotations
@@ -61,20 +61,20 @@ def random_column_subsets(
     ]
 
 
-def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray, seed: int) -> np.ndarray:
-    """Exact LAD fit through the aggregation driver."""
+def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Exact LAD fit: one driver iteration from singletons, so one LP on all rows.
+
+    The dual simplex solves it faster than aggregation rounds would; ``run_aid``
+    keeps the fit certified (t = 1, its LP bound checked against its objective).
+    """
     from .core import AidConfig, run_aid
     from .problems.definitions import LadRegressionProblem
 
-    raw = np.hstack([features, targets.reshape(-1, 1)])
-    initial = kmeans_one_pass(
-        DataMatrix(raw), default_initial_cluster_count(features.shape[0]), seed=seed
-    )
     report = run_aid(
         DataMatrix(targets.reshape(-1, 1)),
         DataMatrix(features),
         LadRegressionProblem(),
-        initial,
+        ClusterPartition.singletons(features.shape[0]),
         AidConfig(tol=0.0),
     )
     return report.solution.coefficients
@@ -83,13 +83,13 @@ def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray, seed: int) 
 def residual_features(
     B: DataMatrix, A: DataMatrix, p: int, model_count: int, seed: int
 ) -> DataMatrix:
-    """Residual columns of ``model_count`` LAD fits on random p-column subsets.
+    """Residual columns of ``model_count`` exact LAD fits on random p-column subsets.
 
     Rows with similar residuals across the fits tend to sit on the same side
     of the eventual regression surface, which is what the initial clusters
     should capture. Each distinct subset is fitted once, by the model that
-    draws it first; a model that draws it again reuses that residual
-    column, so the result keeps ``model_count`` columns.
+    draws it first, in one driver iteration (``_fit_lad_coefficients``); a
+    model that draws it again reuses that column. ``seed`` draws the subsets.
     """
     if model_count < 1:
         raise ValueError("model_count must be at least 1")
@@ -106,7 +106,7 @@ def residual_features(
             continue
         first[subset] = c
         features = A.values[:, list(subset)]
-        coeffs = _fit_lad_coefficients(targets, features, seed=seed + c + 1)
+        coeffs = _fit_lad_coefficients(targets, features)
         out[:, c] = targets - features @ coeffs
     return DataMatrix(out)
 

@@ -143,39 +143,79 @@ class TestResidualFeatures:
     def test_columns_recompute_from_logged_subsets(self, rng):
         n, m, p, count, seed = 20, 4, 2, 3, 11
         a = rng.standard_normal((n, m))
-        b = rng.standard_normal(n)
-        feats = residual_features(
-            DataMatrix(b.reshape(-1, 1)), DataMatrix(a), p=p, model_count=count, seed=seed
-        )
+        b0 = rng.standard_normal(n)
         subsets = random_column_subsets(m, p, count, seed)
-        for c, subset in enumerate(subsets):
-            sub = a[:, list(subset)]
-            coeffs = solve_weighted_lad(make_agg(b, sub)).coefficients
-            assert np.abs(feats.values[:, c] - (b - sub @ coeffs)).max() <= 1e-12
-
+        for power in (0, -30, 30):  # 2^k target scaling
+            b = b0 * 2.0**power
+            feats = residual_features(
+                DataMatrix(b.reshape(-1, 1)), DataMatrix(a), p=p, model_count=count, seed=seed
+            )
+            for c, subset in enumerate(subsets):
+                sub = a[:, list(subset)]
+                coeffs = solve_weighted_lad(make_agg(b, sub)).coefficients
+                err = np.abs(feats.values[:, c] - (b - sub @ coeffs)).max()
+                assert err <= 1e-12 * 2.0**power
 
     @pytest.mark.parametrize("m, p", [(3, 3), (3, 2), (6, 2)])
     def test_each_distinct_subset_fitted_once(self, rng, monkeypatch, m, p):
-        import aidfit.clustering as clustering
-
-        fits = []
-        original = clustering._fit_lad_coefficients
-
-        def counting(targets, features, seed):
-            fits.append(seed)
-            return original(targets, features, seed)
-
-        monkeypatch.setattr(clustering, "_fit_lad_coefficients", counting)
         a = rng.standard_normal((30, m))
         b = rng.standard_normal((30, 1))
+        fitted = []
+        original = clustering._fit_lad_coefficients
+
+        def recording(targets, features):
+            # which column block of a this call fits
+            fitted.append(
+                tuple(j for j in range(m) if any(np.array_equal(a[:, j], f) for f in features.T))
+            )
+            return original(targets, features)
+
+        monkeypatch.setattr(clustering, "_fit_lad_coefficients", recording)
         feats = residual_features(DataMatrix(b), DataMatrix(a), p=p, model_count=5, seed=3)
         subsets = random_column_subsets(m, p, 5, 3)
         first = {s: subsets.index(s) for s in subsets}
-        # the first model to draw a subset fits it, with that model's seed
-        assert fits == [3 + c + 1 for c in sorted(first.values())]
+        # each distinct subset is fitted once, by the first model that draws it
+        assert fitted == [subsets[c] for c in sorted(first.values())]
         assert feats.cols == 5
         for c, subset in enumerate(subsets):
             assert np.array_equal(feats.values[:, c], feats.values[:, first[subset]])
+
+    def test_each_fit_is_one_certified_driver_iteration_from_singletons(self, rng, monkeypatch):
+        import aidfit.core as core
+
+        reports = []
+        original = core.run_aid
+
+        def spy(B, A, problem, initial, config=None):
+            assert initial == ClusterPartition.singletons(A.rows)
+            reports.append(original(B, A, problem, initial, config))
+            return reports[-1]
+
+        monkeypatch.setattr(core, "run_aid", spy)
+        a = rng.standard_normal((200, 6))
+        b = rng.standard_normal((200, 1))
+        residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=5, seed=1)
+        assert len(reports) == len(set(random_column_subsets(6, 2, 5, 1)))
+        for report in reports:
+            assert report.total_iterations == 1
+            assert report.termination == "fully_disaggregated"
+            assert report.certified_optimal
+
+    def test_kmeans_runs_only_for_the_partition(self, rng, monkeypatch):
+        calls = []
+        original = clustering.kmeans_one_pass
+
+        def counting(features, k, seed):
+            calls.append(k)
+            return original(features, k, seed)
+
+        monkeypatch.setattr(clustering, "kmeans_one_pass", counting)
+        a = DataMatrix(rng.standard_normal((300, 4)))
+        b = DataMatrix(rng.standard_normal((300, 1)))
+        residual_features(b, a, p=2, model_count=3, seed=5)
+        assert calls == []
+        build_initial_partition(b, a, InitialClusterConfig(6, "residuals", seed=5, feature_p=2))
+        assert calls == [6]
 
 
 class TestPcaProjectionFeatures:
