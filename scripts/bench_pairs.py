@@ -15,8 +15,12 @@ the pairs of
     solve_s_p50 solves_per_s wall_solve_s_p50 kernel_s setup_s peak_rss_mb
 
 (``kernel_s`` is the median of the run's per-solve calibration times) and
-the quartiles of ``solve_s_p50``, then in how many pairs NEW read a lower
-``solve_s_p50`` than OLD.
+the quartiles of ``solve_s_p50``. Last comes one verdict line per
+end-to-end metric of ``BENCHMARK.json``, judged by its ``better`` and
+``bound`` (see ``verdict``): improved, within bound, WORSE (beyond the
+bound) or unresolved (OLD's quartile spread is wider than the bound), then
+in how many pairs NEW was better and the median change against that
+spread.
 
 The normalized times divide each wall time by a calibration kernel timed in
 the same process, and that kernel's speed can move with what the solver
@@ -33,8 +37,59 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 FIELDS = ("solve_s_p50", "solves_per_s", "wall_solve_s_p50", "kernel_s", "setup_s", "peak_rss_mb")
+
+
+class Verdict(NamedTuple):
+    won: int
+    pairs: int
+    change: float
+    spread: float
+    improved: bool
+    worse: bool
+    resolved: bool
+
+    @property
+    def label(self) -> str:
+        if not self.resolved:
+            return "unresolved"
+        return "WORSE" if self.worse else "improved" if self.improved else "within bound"
+
+
+def verdict(old: list[float], new: list[float], better: str, bound: float) -> Verdict:
+    """Judge one end-to-end metric over paired runs of OLD and NEW.
+
+    ``won`` counts the pairs where NEW is strictly better in the ``better``
+    direction ("lower" or "higher"). ``change`` is NEW's median minus OLD's
+    and ``spread`` OLD's upper minus lower quartile. NEW has ``improved``
+    when it won at least nine tenths of the pairs and its median is better
+    by more than the spread; it is ``worse`` when its median is worse than
+    OLD's by more than ``bound`` as a fraction of OLD's median. Either
+    reading is ``resolved`` only when the spread is within that bound, or
+    every run of NEW is better than every run of OLD.
+    """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
+    if len(old) != len(new) or not old:
+        raise ValueError("need the same positive number of OLD and NEW runs")
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (n - o) < 0 for o, n in zip(old, new))
+    base = statistics.median(old)
+    change = statistics.median(new) - base
+    low, _, high = statistics.quantiles(old, n=4) if len(old) > 1 else [old[0]] * 3
+    spread = high - low
+    allowed = bound * abs(base)
+    return Verdict(
+        won=won,
+        pairs=len(old),
+        change=change,
+        spread=spread,
+        improved=10 * won >= 9 * len(old) and -sign * change > spread,
+        worse=sign * change > allowed,
+        resolved=spread <= allowed or max(sign * v for v in new) < min(sign * v for v in old),
+    )
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -88,8 +143,14 @@ def main() -> None:
         p50 = [r["solve_s_p50"] for r in rs]
         quartiles = statistics.quantiles(p50, n=4) if len(p50) > 1 else [p50[0]] * 3
         print(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
-    lower = sum(n["solve_s_p50"] < o["solve_s_p50"] for o, n in zip(runs["old"], runs["new"]))
-    print(f"new solve_s_p50 lower in {lower} of {args.pairs} pairs")
+    declared = json.loads((arms["new"] / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in declared:
+        name = metric["name"]
+        v = verdict([r[name] for r in runs["old"]], [r[name] for r in runs["new"]],
+                    metric["better"], metric["bound"])
+        print(f"verdict {name} ({metric['better']} is better, bound {metric['bound']:g}): {v.label};"
+              f" new better in {v.won} of {v.pairs} pairs; median change {v.change:+.6g}"
+              f" against old quartile spread {v.spread:.6g}")
 
 
 if __name__ == "__main__":

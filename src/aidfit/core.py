@@ -461,11 +461,17 @@ def residual_signs(
     a scalar or an array that broadcasts against the residual, one band per
     entry.
     """
+    return np.where(_negative(residual, eps_sign), np.int8(-1), np.int8(1))
+
+
+def _negative(residual: np.ndarray, eps_sign) -> np.ndarray:
+    """Where ``residual_signs`` reads -1: the residuals not in the zero band
+    (a NaN residual included)."""
     if residual.ndim != 2:
         raise PartitionError(f"residual must be (n, q), got shape {residual.shape}")
     if np.any(eps_sign < 0):
         raise ValueError("eps_sign must be nonnegative")
-    return np.where(residual >= -eps_sign, np.int8(1), np.int8(-1))
+    return ~(residual >= -eps_sign)
 
 
 def sign_codes(signs) -> np.ndarray:
@@ -474,9 +480,14 @@ def sign_codes(signs) -> np.ndarray:
     Bit j, counted from the most significant, is set when column j is -1,
     so codes order patterns lexicographically with +1 before -1.
     """
-    codes = np.zeros(len(signs), dtype=np.int64)
-    for column in np.asarray(signs).T:
-        codes = 2 * codes + (column < 0)
+    return _codes(np.asarray(signs) < 0)
+
+
+def _codes(negative: np.ndarray) -> np.ndarray:
+    """``sign_codes`` of the pattern that is -1 where ``negative`` holds."""
+    codes = np.zeros(len(negative), dtype=np.int64)
+    for column in negative.T:
+        codes = 2 * codes + column
     return codes
 
 
@@ -500,7 +511,7 @@ def check_optimality(
     """
     if residual is None:
         residual = _residual(b, problem.apply_f(solution, a))
-    codes = sign_codes(residual_signs(residual, eps_sign))
+    codes = _codes(_negative(residual, eps_sign))
     ordered = codes[partition.order]
     low = np.minimum.reduceat(ordered, partition.starts)
     high = np.maximum.reduceat(ordered, partition.starts)
@@ -649,7 +660,8 @@ def run_aid(
         raise ValueError("max_iters must be at least 1")
     maximize = problem.sense == "maximize"
     flip = -1.0 if maximize else 1.0
-    scale = float(np.abs(b).sum())
+    abs_b = np.abs(b)
+    scale = float(abs_b.sum())
 
     partition = initial
     records: list[IterationRecord] = []
@@ -688,7 +700,7 @@ def run_aid(
                 upper_bound=upper,
             )
         )
-        band = DEFAULT_EPS_SIGN * (np.abs(b) + np.abs(fitted))
+        band = DEFAULT_EPS_SIGN * (abs_b + np.abs(fitted))
         satisfied, violating, codes = check_optimality(
             b, a, problem, solution, partition, band, residual=residual
         )

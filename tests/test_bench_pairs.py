@@ -1,0 +1,82 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+OLD = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
+# median 10.0 as OLD, quartiles 8.0 and 12.0: a spread of 4.0
+WIDE = [6.0, 8.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 12.0, 14.0]
+
+
+def test_clear_gain_is_improved_and_wins_every_pair():
+    new = [x - 1.5 for x in OLD]
+    v = verdict(OLD, new, "lower", 0.2)
+    assert (v.won, v.pairs) == (10, 10)
+    assert v.change == pytest.approx(-1.5)
+    # quartiles 9.875 and 10.125
+    assert v.spread == pytest.approx(0.25)
+    assert v.improved and not v.worse and v.resolved
+    assert v.label == "improved"
+
+
+def test_gain_must_exceed_the_old_quartile_spread():
+    v = verdict(OLD, [x - 0.2 for x in OLD], "lower", 0.2)
+    assert v.won == 10
+    assert not v.improved and not v.worse and v.resolved
+    assert v.label == "within bound"
+    assert verdict(OLD, [x - 0.3 for x in OLD], "lower", 0.2).improved
+
+
+def test_gain_must_win_nine_tenths_of_the_pairs():
+    new = [x - 1.5 for x in OLD]
+    new[0] = new[1] = 11.0
+    v = verdict(OLD, new, "lower", 0.2)
+    assert v.won == 8 and v.change < -v.spread
+    assert not v.improved and v.label == "within bound"
+
+
+def test_higher_is_better_flips_every_sense():
+    v = verdict(OLD, [x + 1.5 for x in OLD], "higher", 0.2)
+    assert v.won == 10 and v.improved and not v.worse
+    v = verdict(OLD, [x - 1.5 for x in OLD], "higher", 0.1)
+    assert v.won == 0 and not v.improved and v.worse and v.label == "WORSE"
+
+
+def test_bound_is_a_fraction_of_the_old_median():
+    # old median 10.0: a 20 % bound allows up to 12.0
+    assert not verdict(OLD, [x + 1.9 for x in OLD], "lower", 0.2).worse
+    v = verdict(OLD, [x + 2.1 for x in OLD], "lower", 0.2)
+    assert v.worse and v.resolved and v.label == "WORSE"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # a spread of 4.0 against a bound of 2.0: neither a median inside the
+    # bound nor one beyond it can be told from noise
+    for shift in (0.0, 1.0, 3.0, -3.0):
+        v = verdict(WIDE, [x + shift for x in WIDE], "lower", 0.2)
+        assert not v.resolved and v.label == "unresolved"
+    assert verdict(WIDE, [x + 3.0 for x in WIDE], "lower", 0.2).worse
+    # unless every run of NEW is better than every run of OLD
+    v = verdict(WIDE, [x - 9.0 for x in WIDE], "lower", 0.2)
+    assert v.resolved and v.improved
+    v = verdict(WIDE, [x + 9.0 for x in WIDE], "higher", 0.2)
+    assert v.resolved and v.improved
+
+
+def test_ties_do_not_count_as_won():
+    v = verdict(OLD, list(OLD), "lower", 0.2)
+    assert v.won == 0 and v.change == 0.0
+    assert not v.improved and not v.worse and v.resolved
+
+
+def test_rejects_bad_input():
+    with pytest.raises(ValueError):
+        verdict(OLD, OLD, "faster", 0.2)
+    with pytest.raises(ValueError):
+        verdict(OLD, OLD[:-1], "lower", 0.2)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -13,7 +14,7 @@ from aidfit.problems.lad import (
     solve_subset_selection,
     solve_weighted_lad,
 )
-from conftest import make_agg
+from conftest import make_agg, subset_instance
 from oracles import lad_grid_oracle, lad_vertex_oracle, subset_oracle
 
 
@@ -128,6 +129,54 @@ class TestSubsetSelection:
             off = [j for j in range(m) if j not in sol.support]
             assert all(sol.coefficients[j] == 0.0 for j in off)
 
+    @pytest.mark.parametrize("kind", ["normal", "integer", "duplicated", "exact", "exact-1e8"])
+    def test_each_support_is_its_own_lp_bit_for_bit(self, kind, monkeypatch):
+        # five or more narrow supports run as one stack, fewer one by one;
+        # each support's fit and bound must be those of its own
+        # weighted_lad_lp call, cold and from the fits an earlier solve carries
+        stacks = []
+        original = lad.lockstep_dual_simplex
+
+        def recording(a, *args, **kwargs):
+            stacks.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(lad, "lockstep_dual_simplex", recording)
+        rng = np.random.default_rng(21)
+        for trial in range(6):
+            m, p = int(rng.integers(3, 7)), 1 + trial % 3
+            target, features = subset_instance(rng, 24, m, kind)
+            b, a = target.values[:, 0], features.values
+            w = rng.integers(1, 40, size=24)
+            first = solve_subset_selection(make_agg(b[:12], a[:12], w[:12]), p)
+            agg = make_agg(b, a, w)
+            for prior in (None, (first, np.inf)):
+                sol = solve_subset_selection(agg, p, prior=prior)
+                for i, support in enumerate(combinations(range(m), p)):
+                    start = None if prior is None else first.fits[i]
+                    x, _, objective = lad.weighted_lad_lp(b, a[:, support], w, start=start)
+                    assert np.array_equal(sol.fits[i], x)
+                    assert sol.support_bounds[i] == objective
+        assert stacks and min(stacks) >= lad.STACK_MIN_LPS
+
+    def test_stack_only_for_enough_narrow_supports(self, monkeypatch):
+        stacks = []
+        original = lad.lockstep_dual_simplex
+
+        def recording(a, *args, **kwargs):
+            stacks.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(lad, "lockstep_dual_simplex", recording)
+        rng = np.random.default_rng(4)
+        widest = lad.STACK_MAX_COLUMNS - 2
+        for n, m, p in ((widest, 6, 2), (widest + 1, 6, 2), (24, 4, 1), (24, 5, 1)):
+            target, features = subset_instance(rng, n, m, "normal")
+            solve_subset_selection(make_agg(target.values[:, 0], features.values), p)
+        # C(6, 2) = 15 LPs of 256 columns and C(5, 1) = 5 of 25 stack;
+        # 257 columns or C(4, 1) = 4 LPs go one by one
+        assert stacks == [(15, 2, lad.STACK_MAX_COLUMNS), (5, 1, 25)]
+
     def test_tie_breaks_to_lexicographic_support(self):
         # duplicated columns make every singleton support equally good
         a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
@@ -148,7 +197,7 @@ class TestSubsetSelection:
 
 class CheckedSubset(SubsetSelectionProblem):
     """Checks every pruned, warm-started solve against the cold unpruned one
-    and counts its LPs.
+    and counts the supports it solved, the non-None entries of its ``fits``.
 
     Both must pick the same support at objectives within ``bound_slack``; a
     warm start may end at another optimal basis of a degenerate LP. With
@@ -156,16 +205,14 @@ class CheckedSubset(SubsetSelectionProblem):
     the optimum is unique.
     """
 
-    def __init__(self, m, p, lp_calls, bitwise=False):
+    def __init__(self, m, p, bitwise=False):
         super().__init__(m, p)
-        self.lp_calls = lp_calls
         self.bitwise = bitwise
         self.per_solve = []
 
     def solve_weighted(self, agg, config, prior=None):
-        before = len(self.lp_calls)
         pruned = super().solve_weighted(agg, config, prior)
-        self.per_solve.append(len(self.lp_calls) - before)
+        self.per_solve.append(sum(fit is not None for fit in pruned.fits))
         full = solve_subset_selection(agg, self.p)
         assert pruned.support == full.support
         scale = float(agg.weights @ np.abs(agg.B_agg[:, 0]))
@@ -176,38 +223,8 @@ class CheckedSubset(SubsetSelectionProblem):
         return pruned
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    calls = []
-    original = lad.weighted_lad_lp
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lad, "weighted_lad_lp", counting)
-    return calls
-
-
-def subset_instance(rng, n, m, kind):
-    if kind == "integer":
-        a = rng.integers(-3, 4, size=(n, m)).astype(float)
-        b = a[:, 0] * 2.0 - a[:, 1] + rng.integers(-2, 3, size=n)
-    else:
-        a = rng.standard_normal((n, m))
-        b = a[:, :2] @ rng.uniform(0, 100, 2) + rng.standard_normal(n)
-    if kind == "duplicated":
-        a[:, 2] = a[:, 0]
-    if kind.startswith("exact"):
-        b = a[:, 1] * 3.0 - a[:, 2] * 7.0
-    if kind == "exact-1e8":
-        # rounding noise now exceeds the sign zero band, so the loop runs on
-        a, b = a * 1e8, b * 1e8
-    return DataMatrix(b.reshape(-1, 1)), DataMatrix(a)
-
-
-def run_checked(b, a, p, lp_calls, seed=0, k=4, bitwise=False):
-    problem = CheckedSubset(a.cols, p, lp_calls, bitwise)
+def run_checked(b, a, p, seed=0, k=4, bitwise=False):
+    problem = CheckedSubset(a.cols, p, bitwise)
     initial = kmeans_one_pass(DataMatrix(np.hstack([a.values, b.values])), k, seed)
     return problem, run_aid(b, a, problem, initial, AidConfig(tol=0.0))
 
@@ -216,26 +233,24 @@ class TestSubsetPruning:
     @pytest.mark.parametrize(
         "seed,kind", enumerate(["normal", "integer", "duplicated", "exact", "exact-1e8"])
     )
-    def test_every_iterate_matches_unpruned_solve(self, seed, kind, lp_calls):
+    def test_every_iterate_matches_unpruned_solve(self, seed, kind):
         rng = np.random.default_rng(seed)
         for m in (4, 5, 6):
             for p in (1, 2, 3):
                 for trial in range(2):
                     b, a = subset_instance(rng, 90, m, kind)
-                    problem, report = run_checked(
-                        b, a, p, lp_calls, seed=trial, bitwise=kind == "normal"
-                    )
+                    problem, report = run_checked(b, a, p, seed=trial, bitwise=kind == "normal")
                     assert len(problem.per_solve) == report.total_iterations
                     assert problem.per_solve[0] == comb(m, p)
 
-    def test_later_iterations_solve_fewer_supports(self, lp_calls):
+    def test_later_iterations_solve_fewer_supports(self):
         b, a = subset_instance(np.random.default_rng(7), 300, 6, "normal")
-        problem, report = run_checked(b, a, 2, lp_calls)
+        problem, report = run_checked(b, a, 2)
         assert report.total_iterations >= 3
         assert problem.per_solve[0] == 15
         assert all(count < 15 for count in problem.per_solve[1:])
 
-    def test_reused_problem_gives_identical_reports(self, lp_calls):
+    def test_reused_problem_gives_identical_reports(self):
         b, a = subset_instance(np.random.default_rng(8), 200, 5, "normal")
         problem = SubsetSelectionProblem(5, 2)
         initial = kmeans_one_pass(DataMatrix(np.hstack([a.values, b.values])), 3, 0)

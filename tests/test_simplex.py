@@ -1,8 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import aidfit.problems.lad as lad
 from aidfit.problems.lad import weighted_lad_lp
-from aidfit.problems.simplex import CycleGuardError, SimplexError, primal_simplex
+from aidfit.problems.simplex import (
+    CycleGuardError,
+    SimplexError,
+    lockstep_dual_simplex,
+    primal_simplex,
+)
+from conftest import subset_instance
 
 
 def standard_lp(c, a_ub, b_ub, bound):
@@ -226,3 +235,108 @@ def test_weighted_lad_dual_certificate(rng):
         assert (np.abs(d) - w).max() <= 1e-9 * w.max()
         assert np.all(np.abs(a.T @ d) <= 1e-9 * (np.abs(a).T @ w))
         assert abs(b @ d - objective) <= 1e-9 * scale
+
+
+def support_stack(rng, kind, n, m, p):
+    """The scaled LAD dual LP of every size-p support of a random
+    ``subset_instance``, as ``weighted_lad_lp`` builds it, each from its
+    own start: x = 0, a random fit, the support's optimum, or that optimum
+    blurred."""
+    target, features = subset_instance(rng, n, m, kind)
+    b, a = target.values[:, 0], features.values
+    w = rng.integers(1, 50, size=n).astype(float)
+    supports = np.array(list(combinations(range(m), p)))
+    starts = []
+    for i, support in enumerate(supports):
+        if i % 4 == 0:
+            starts.append(None)
+        elif i % 4 == 1:
+            starts.append(rng.standard_normal(p))
+        else:
+            x, _, _ = weighted_lad_lp(b, a[:, support], w)
+            starts.append(x if i % 4 == 2 else x * rng.uniform(0.9, 1.1, p))
+    return lad._support_stack(b, a, w, supports, starts, lad._lad_exponents(b, a, w))
+
+
+def assert_lockstep_matches_single(a, b, c, basis, upper, **kwargs):
+    """Each LP of the stack gives ``primal_simplex``'s result bit for bit;
+    returns the stack's iteration counts."""
+    stacked = lockstep_dual_simplex(a, b, c, basis, upper=upper, **kwargs)
+    assert len(stacked) == len(a)
+    for s, got in enumerate(stacked):
+        lp_upper = upper if upper is None or upper.ndim == 1 else upper[s]
+        single = primal_simplex(a[s], b[s], c[s], basis, upper=lp_upper, **kwargs)
+        assert np.array_equal(got.x, single.x)
+        assert np.array_equal(got.duals, single.duals)
+        assert got.objective == single.objective
+        assert (got.pivots, got.flips) == (single.pivots, single.flips)
+    return [r.pivots for r in stacked]
+
+
+@pytest.mark.parametrize("kind", ["integer", "duplicated", "exact", "exact-1e8"])
+def test_lockstep_support_stacks_match_single_solves(kind):
+    rng = np.random.default_rng(31)
+    spread = 0
+    for trial in range(12):
+        n, m, p = int(rng.integers(6, 40)), int(rng.integers(3, 7)), 1 + trial % 3
+        pivots = assert_lockstep_matches_single(*support_stack(rng, kind, n, m, min(p, m - 1)))
+        spread += len(set(pivots)) > 1
+    # at least half the stacks hold LPs that finish at different iterations
+    assert spread >= 6
+
+
+def test_lockstep_random_boxed_stacks_match_single_solves(rng):
+    # general boxed LPs, slack or artificial starts, one upper bound per LP
+    for trial in range(60):
+        lps, rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        structural = rng.uniform(-2.0, 2.0, size=(lps, rows, cols))
+        a = np.concatenate([structural, np.broadcast_to(np.eye(rows), (lps, rows, rows))], axis=2)
+        b = rng.uniform(0.0, 3.0, size=(lps, rows))
+        c = rng.standard_normal((lps, cols + rows))
+        upper = np.concatenate([rng.uniform(0.5, 3.0, (lps, cols)), b + 3.0], axis=1)
+        if trial % 2:
+            upper[:, cols:] = 0.0
+        basis = list(range(cols, cols + rows))
+        try:
+            for s in range(lps):
+                primal_simplex(a[s], b[s], c[s], basis, upper=upper[s])
+        except SimplexError:
+            with pytest.raises(SimplexError):
+                lockstep_dual_simplex(a, b, c, basis, upper=upper)
+            continue
+        assert_lockstep_matches_single(a, b, c, basis, upper)
+
+
+def test_lockstep_one_infeasible_lp_raises():
+    # x0 + x1 = b with x0 <= 1 and the artificial x1 fixed at zero: b = 0.5
+    # is feasible, b = 10 is not
+    a = np.array([[[1.0, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]]])
+    c = np.array([[1.0, 0.0]] * 3)
+    upper = np.array([1.0, 0.0])
+    feasible = np.array([[0.5], [0.25], [0.75]])
+    assert_lockstep_matches_single(a, feasible, c, [1], upper)
+    with pytest.raises(SimplexError, match="no feasible point"):
+        primal_simplex(a[1], np.array([10.0]), c[1], [1], upper=upper)
+    with pytest.raises(SimplexError, match="no feasible point"):
+        lockstep_dual_simplex(a, np.array([[0.5], [10.0], [0.75]]), c, [1], upper=upper)
+
+
+def test_lockstep_dual_infeasible_start_rejected():
+    # as test_dual_infeasible_start_rejected, the second LP of the stack
+    a = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
+    b = np.array([[1.0], [1.0]])
+    c = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="not dual feasible"):
+        lockstep_dual_simplex(a, b, c, [1])
+    assert_lockstep_matches_single(a, b, c, [1], np.array([2.0, np.inf]))
+
+
+def test_lockstep_pivot_cap_raises_cycle_guard():
+    a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
+    b = np.array([4.0, 12.0, 18.0])
+    c = np.array([-3.0, -5.0])
+    a_eq, rhs, cost, basis, upper = standard_lp(c, a, b, 10.0)
+    stack = np.array([a_eq, a_eq]), np.array([rhs, rhs / 2]), np.array([cost, cost])
+    assert_lockstep_matches_single(*stack, basis, upper, max_pivots=5)
+    with pytest.raises(CycleGuardError):
+        lockstep_dual_simplex(*stack, basis, max_pivots=1, upper=upper)
