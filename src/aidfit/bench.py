@@ -2,8 +2,9 @@
 
 Reports are split into a deterministic ``payload`` (byte-identical across
 runs with the same seed and config) and a ``meta`` block holding wall-clock
-times. Every report is validated against ``REPORT_SCHEMA`` and the trace
-invariants are re-checked before anything is written.
+times: the whole solve's and, within it, the initial partition's. Every
+report is validated against ``REPORT_SCHEMA`` and the trace invariants are
+re-checked before anything is written.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ REPORT_SCHEMA: dict[str, Any] = {
     "properties": {
         "meta": {
             "type": "object",
-            "required": ["tool", "version", "wall_time_s"],
+            "required": ["tool", "version", "wall_time_s", "partition_s"],
             "properties": {
                 "tool": {"type": "string"},
                 "version": {"type": "string"},
                 "wall_time_s": {"type": "number"},
+                "partition_s": {"type": "number"},
             },
         },
         "payload": {
@@ -279,6 +281,7 @@ def run_solve(
     start = time.perf_counter()
     if settings.problem == "hyperplane":
         initial = _initial_partition(settings, None, a)
+        partition_s = time.perf_counter() - start
         solution = solve_best_fit_hyperplane(a, initial, _aid_config(settings))
         report = solution.report
     else:
@@ -288,6 +291,7 @@ def run_solve(
         if b is None:
             raise ValueError(f"instance provides no target data for {settings.problem}")
         initial = _initial_partition(settings, b if settings.problem != "l1pca" else None, a)
+        partition_s = time.perf_counter() - start
         report = run_aid(b, a, problem, initial, _aid_config(settings))
         solution = report.solution
     wall = time.perf_counter() - start
@@ -306,7 +310,7 @@ def run_solve(
         "final_gap": report.final_gap,
         "solution": solution_payload(settings.problem, solution),
     }
-    return _assemble_report(payload, wall)
+    return _assemble_report(payload, wall, partition_s)
 
 
 def _config_payload(settings: RunSettings, n: int) -> dict:
@@ -330,9 +334,14 @@ def _config_payload(settings: RunSettings, n: int) -> dict:
     return cfg
 
 
-def _assemble_report(payload: dict, wall_time_s: float) -> dict:
+def _assemble_report(payload: dict, wall_time_s: float, partition_s: float) -> dict:
     report = {
-        "meta": {"tool": "aidfit", "version": __version__, "wall_time_s": wall_time_s},
+        "meta": {
+            "tool": "aidfit",
+            "version": __version__,
+            "wall_time_s": wall_time_s,
+            "partition_s": partition_s,
+        },
         "payload": payload,
     }
     jsonschema.validate(report, REPORT_SCHEMA)
@@ -425,6 +434,7 @@ def _run_cell_rep(args) -> dict:
         row["aid"] = {
             "objective": payload["objective"],
             "wall_time_s": report["meta"]["wall_time_s"],
+            "partition_s": report["meta"]["partition_s"],
             "iterations_run": payload["iterations_run"],
             "aggregation_rate": payload["aggregation_rate"],
             "final_gap": payload["final_gap"],

@@ -2,8 +2,15 @@
 
 The engine accepts any starting partition; these helpers build the two
 feature spaces that work well in practice (residuals of a few exact LAD
-fits, one driver iteration from singletons each, or projections onto the
-leading L2 principal components) and run one seeded k-means pass on them.
+fits, or projections onto the leading L2 principal components) and run one
+seeded k-means pass on them.
+
+Each residual fit solves a seeded sample of about 4√n rows, not all n, as
+Portnoy and Koenker (1997, "The Gaussian hare and the Laplacian tortoise")
+first fit a row sample to preprocess L1 regression: a start only has to
+group rows, and ``run_aid``'s sign check and splits make the final answer
+exact whatever the start. The residual columns are still formed on every
+row.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "InitialClusterConfig",
     "default_initial_cluster_count",
     "random_column_subsets",
+    "residual_fit_rows",
     "residual_features",
     "pca_projection_features",
     "kmeans_one_pass",
@@ -47,12 +55,13 @@ def default_initial_cluster_count(n: int, k_min: int = 2) -> int:
 
 
 def random_column_subsets(
-    m: int, p: int, count: int, seed: int
+    m: int, p: int, count: int, seed: int | np.random.Generator
 ) -> list[tuple[int, ...]]:
     """``count`` sorted p-subsets of 0..m-1 drawn with a PCG64 stream.
 
     Draw order: one ``choice(m, p, replace=False)`` call per model, in model
-    order, so callers can reproduce the subsets from the seed alone.
+    order, so callers can reproduce the subsets from the seed alone. A
+    generator in place of the seed is drawn from and left advanced.
     """
     rng = np.random.default_rng(seed)
     return [
@@ -61,8 +70,18 @@ def random_column_subsets(
     ]
 
 
+def residual_fit_rows(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The s = min(n, ⌈4√n⌉) rows each residual fit solves, in ascending order.
+
+    One ``choice(n, s, replace=False)`` call on ``rng``, sorted; for n ≤ 17
+    that is every row.
+    """
+    s = min(n, math.ceil(4.0 * math.sqrt(n)))
+    return np.sort(rng.choice(n, size=s, replace=False))
+
+
 def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Exact LAD fit: one driver iteration from singletons, so one LP on all rows.
+    """Exact LAD fit of the rows given: one driver iteration from singletons, one LP.
 
     The dual simplex solves it faster than aggregation rounds would; ``run_aid``
     keeps the fit certified (t = 1, its LP bound checked against its objective).
@@ -83,13 +102,20 @@ def _fit_lad_coefficients(targets: np.ndarray, features: np.ndarray) -> np.ndarr
 def residual_features(
     B: DataMatrix, A: DataMatrix, p: int, model_count: int, seed: int
 ) -> DataMatrix:
-    """Residual columns of ``model_count`` exact LAD fits on random p-column subsets.
+    """Residual columns of ``model_count`` LAD fits on random p-column subsets.
 
     Rows with similar residuals across the fits tend to sit on the same side
     of the eventual regression surface, which is what the initial clusters
     should capture. Each distinct subset is fitted once, by the model that
-    draws it first, in one driver iteration (``_fit_lad_coefficients``); a
-    model that draws it again reuses that column. ``seed`` draws the subsets.
+    draws it first, with an exact LAD fit of the row sample
+    (``residual_fit_rows``) in one driver iteration
+    (``_fit_lad_coefficients``); its column is the target minus the
+    subset's features times that fit, on all n rows. A model that draws the
+    subset again reuses that column.
+
+    One PCG64 stream seeded with ``seed`` draws the subsets
+    (``random_column_subsets``) and then the row sample, so both replay
+    from the seed alone.
     """
     if model_count < 1:
         raise ValueError("model_count must be at least 1")
@@ -97,7 +123,9 @@ def residual_features(
         raise ValueError(f"p={p} exceeds the {A.cols} available columns")
     n = A.rows
     targets = B.values[:, 0]
-    subsets = random_column_subsets(A.cols, p, model_count, seed)
+    rng = np.random.default_rng(seed)
+    subsets = random_column_subsets(A.cols, p, model_count, rng)
+    rows = residual_fit_rows(n, rng)
     out = np.empty((n, model_count))
     first: dict[tuple[int, ...], int] = {}
     for c, subset in enumerate(subsets):
@@ -106,7 +134,7 @@ def residual_features(
             continue
         first[subset] = c
         features = A.values[:, list(subset)]
-        coeffs = _fit_lad_coefficients(targets, features)
+        coeffs = _fit_lad_coefficients(targets[rows], features[rows])
         out[:, c] = targets - features @ coeffs
     return DataMatrix(out)
 

@@ -34,6 +34,7 @@ class TestRunSolve:
         assert payload["converged"]
         assert payload["iterations"][0]["t"] == 1
         assert 0 < payload["aggregation_rate"] <= 1
+        assert 0 < report["meta"]["partition_s"] < report["meta"]["wall_time_s"]
 
     def test_singleton_config_terminates_at_t1(self):
         spec = tiny_spec(3, n=12)
@@ -195,6 +196,7 @@ class TestBenchmark:
                 for side in ("direct", "aid"):
                     if r.get(side):
                         r[side].pop("wall_time_s", None)
+                        r[side].pop("partition_s", None)
                 r.pop("rho", None)
                 for key in [k for k in r if "wall_time" in k or k == "mean_rho"]:
                     r.pop(key)

@@ -15,6 +15,7 @@ from aidfit.clustering import (
     pca_projection_features,
     random_column_subsets,
     residual_features,
+    residual_fit_rows,
 )
 from aidfit.core import ClusterPartition
 from aidfit.linalg import DataMatrix
@@ -134,17 +135,21 @@ class TestResidualFeatures:
         assert np.abs(feats.values).max() <= 1e-9
 
     def test_deterministic_across_runs(self, rng):
-        a = rng.standard_normal((15, 3))
-        b = rng.standard_normal((15, 1))
-        f1 = residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=3, seed=7)
-        f2 = residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=3, seed=7)
-        assert f1 == f2
+        for n in (15, 400):  # 400 rows fit a sample of 80
+            a = rng.standard_normal((n, 3))
+            b = rng.standard_normal((n, 1))
+            f1 = residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=3, seed=7)
+            f2 = residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=3, seed=7)
+            assert f1 == f2
 
     def test_columns_recompute_from_logged_subsets(self, rng):
-        n, m, p, count, seed = 20, 4, 2, 3, 11
+        n, m, p, count, seed = 60, 4, 2, 3, 11
         a = rng.standard_normal((n, m))
         b0 = rng.standard_normal(n)
-        subsets = random_column_subsets(m, p, count, seed)
+        replay = np.random.default_rng(seed)
+        subsets = random_column_subsets(m, p, count, replay)
+        rows = residual_fit_rows(n, replay)
+        assert len(rows) == 31
         for power in (0, -30, 30):  # 2^k target scaling
             b = b0 * 2.0**power
             feats = residual_features(
@@ -152,7 +157,7 @@ class TestResidualFeatures:
             )
             for c, subset in enumerate(subsets):
                 sub = a[:, list(subset)]
-                coeffs = solve_weighted_lad(make_agg(b, sub)).coefficients
+                coeffs = solve_weighted_lad(make_agg(b[rows], sub[rows])).coefficients
                 err = np.abs(feats.values[:, c] - (b - sub @ coeffs)).max()
                 assert err <= 1e-12 * 2.0**power
 
@@ -160,25 +165,51 @@ class TestResidualFeatures:
     def test_each_distinct_subset_fitted_once(self, rng, monkeypatch, m, p):
         a = rng.standard_normal((30, m))
         b = rng.standard_normal((30, 1))
+        replay = np.random.default_rng(3)
+        subsets = random_column_subsets(m, p, 5, replay)
+        rows = residual_fit_rows(30, replay)
         fitted = []
         original = clustering._fit_lad_coefficients
 
         def recording(targets, features):
-            # which column block of a this call fits
+            assert np.array_equal(targets, b[rows, 0])
+            # which column block of a, on the sampled rows, this call fits
             fitted.append(
-                tuple(j for j in range(m) if any(np.array_equal(a[:, j], f) for f in features.T))
+                tuple(
+                    j for j in range(m) if any(np.array_equal(a[rows, j], f) for f in features.T)
+                )
             )
             return original(targets, features)
 
         monkeypatch.setattr(clustering, "_fit_lad_coefficients", recording)
         feats = residual_features(DataMatrix(b), DataMatrix(a), p=p, model_count=5, seed=3)
-        subsets = random_column_subsets(m, p, 5, 3)
         first = {s: subsets.index(s) for s in subsets}
         # each distinct subset is fitted once, by the first model that draws it
         assert fitted == [subsets[c] for c in sorted(first.values())]
         assert feats.cols == 5
         for c, subset in enumerate(subsets):
             assert np.array_equal(feats.values[:, c], feats.values[:, first[subset]])
+
+    def test_sample_is_sorted_and_every_row_up_to_17(self):
+        for n in (1, 2, 16, 17, 18, 30, 1000):
+            rows = residual_fit_rows(n, np.random.default_rng(5))
+            s = min(n, int(np.ceil(4 * np.sqrt(n))))
+            assert len(rows) == s and np.all(np.diff(rows) > 0)
+            assert 0 <= rows[0] and rows[-1] < n
+            if n <= 17:
+                assert np.array_equal(rows, np.arange(n))
+
+    def test_small_n_fits_every_row_bitwise(self, rng):
+        n, m, p = 16, 4, 2
+        a = rng.standard_normal((n, m))
+        b = rng.standard_normal(n)
+        feats = residual_features(
+            DataMatrix(b.reshape(-1, 1)), DataMatrix(a), p=p, model_count=4, seed=2
+        )
+        for c, subset in enumerate(random_column_subsets(m, p, 4, 2)):
+            sub = a[:, list(subset)]
+            column = b - sub @ clustering._fit_lad_coefficients(b, sub)
+            assert np.array_equal(feats.values[:, c], column)
 
     def test_each_fit_is_one_certified_driver_iteration_from_singletons(self, rng, monkeypatch):
         import aidfit.core as core
@@ -192,14 +223,20 @@ class TestResidualFeatures:
             return reports[-1]
 
         monkeypatch.setattr(core, "run_aid", spy)
-        a = rng.standard_normal((200, 6))
-        b = rng.standard_normal((200, 1))
-        residual_features(DataMatrix(b), DataMatrix(a), p=2, model_count=5, seed=1)
-        assert len(reports) == len(set(random_column_subsets(6, 2, 5, 1)))
-        for report in reports:
-            assert report.total_iterations == 1
-            assert report.termination == "fully_disaggregated"
-            assert report.certified_optimal
+        # samples of 57 rows, and of 22 rows for 25 columns
+        for n, m, p, s in ((200, 6, 2, 57), (30, 25, 25, 22)):
+            reports.clear()
+            a = rng.standard_normal((n, m))
+            b = rng.standard_normal((n, 1))
+            feats = residual_features(DataMatrix(b), DataMatrix(a), p=p, model_count=5, seed=1)
+            assert np.isfinite(feats.values).all()
+            assert len(reports) == len(set(random_column_subsets(m, p, 5, 1)))
+            for report in reports:
+                assert len(report.solution.coefficients) == p
+                assert report.iterations[0].cluster_count == s
+                assert report.total_iterations == 1
+                assert report.termination == "fully_disaggregated"
+                assert report.certified_optimal
 
     def test_kmeans_runs_only_for_the_partition(self, rng, monkeypatch):
         calls = []
