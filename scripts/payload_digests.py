@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print one line per benchmark pool instance: payload digest plus its key facts.
 
-Solves every pool instance of every ``perfbench`` workload (or, with
-``--workload NAME``, of that one) through ``aidfit.bench.run_solve`` and
-prints
+Solves every pool instance of every ``perfbench`` workload and of a fixed
+``sphere`` pool (or, with ``--workload NAME``, of that one) through
+``aidfit.bench.run_solve`` and prints
 
     workload seed digest objective termination counts signs
 
@@ -16,6 +16,11 @@ lines produce byte-identical outputs on the whole pool. When a change moves
 the payload bytes only by rounding, the digests differ but the termination,
 the cluster counts and the sign matrices must not, and the objectives can be
 compared numerically.
+
+No benchmark workload solves ``sphere``, whose cut LPs' duals feed
+``certified_gap``; the ``sphere`` pool (``SPHERE_POOL`` instances, seeds 1
+to 16: n = 600, m = 3, every column informative, radius 0.5) makes a change
+to those duals show here.
 
 The script solves with the ``src`` and ``perfbench`` next to it, so to
 compare two checkouts run a copy of the other one first and compare with
@@ -48,6 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SPHERE_POOL = 16
 
 
 def payload_digest(report: dict) -> str:
@@ -103,17 +109,27 @@ def main() -> None:
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from aidfit.bench import run_solve
+    from aidfit.bench import RunSettings, run_solve
+    from aidfit.data_io import SyntheticSpec
     from workloads import WORKLOADS
 
-    if args.workload is not None and args.workload not in WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(WORKLOADS)}")
+    def sphere_instance(seed: int) -> tuple:
+        return (
+            RunSettings(problem="sphere", radius=0.5, seed=seed),
+            SyntheticSpec(n=600, m=3, informative_p=3, seed=seed),
+        )
+
+    # per pool, its size and the (settings, spec) of each instance seed
+    pools = {name: (w.pool, w.instance) for name, w in WORKLOADS.items()}
+    pools["sphere"] = (SPHERE_POOL, sphere_instance)
+    if args.workload is not None and args.workload not in pools:
+        parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(pools)}")
     lines = []
-    for name, workload in WORKLOADS.items():
+    for name, (size, instance) in pools.items():
         if args.workload not in (None, name):
             continue
-        for seed in range(1, workload.pool + 1):
-            report = run_solve(*workload.instance(seed))
+        for seed in range(1, size + 1):
+            report = run_solve(*instance(seed))
             lines.append(f"{name} {seed} {payload_digest(report)} {payload_facts(report)}")
             if old is None:
                 print(lines[-1], flush=True)

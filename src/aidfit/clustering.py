@@ -1,8 +1,8 @@
 """Initial cluster construction.
 
-The engine accepts any starting partition; these helpers build the two
-feature spaces that work well in practice (residuals of a few exact LAD
-fits, or projections onto the leading L2 principal components) and run one
+The engine accepts any starting partition; these helpers build one of three
+feature spaces (residuals of a few exact LAD fits, projections onto the
+leading L2 principal components, or the raw columns of A) and run one
 seeded k-means pass on them.
 
 Each residual fit solves a seeded sample of about 4√n rows, not all n, as
@@ -190,21 +190,23 @@ def build_initial_partition(
 ) -> ClusterPartition:
     """Construct the starting partition for a run, per the configured features.
 
-    A target of one cluster per row gives the singleton partition: k-means
+    A target of one cluster per row gives the singleton partition, checked
+    after the configuration and before any features are built: k-means
     would merge rows whose features coincide, such as the rows an exact fit
     interpolates, whose residuals are all zero.
     """
-    if config.feature_source == "residuals":
-        if B is None:
-            raise ValueError("residual features need target data")
-        p = config.feature_p if config.feature_p is not None else A.cols
-        features = residual_features(B, A, p, config.model_count, config.seed)
-    elif config.feature_source == "pca_projection":
-        features = pca_projection_features(A, config.projection_p)
-    elif config.feature_source == "raw_data":
-        features = A
-    else:
-        raise ValueError(f"unknown feature source {config.feature_source!r}")
+    source = config.feature_source
+    if source not in ("residuals", "pca_projection", "raw_data"):
+        raise ValueError(f"unknown feature source {source!r}")
+    if source == "residuals" and B is None:
+        raise ValueError("residual features need target data")
     if config.target_cluster_count == A.rows:
         return ClusterPartition.singletons(A.rows)
+    if source == "residuals":
+        p = config.feature_p if config.feature_p is not None else A.cols
+        features = residual_features(B, A, p, config.model_count, config.seed)
+    elif source == "pca_projection":
+        features = pca_projection_features(A, config.projection_p)
+    else:
+        features = A
     return kmeans_one_pass(features, config.target_cluster_count, config.seed)

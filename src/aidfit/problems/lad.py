@@ -33,13 +33,15 @@ and is undone on x and d. Linear constraints g @ x <= limit, the ball's
 tangent cuts in ``sphere``, each add one dual column g with cost ``limit``
 and no upper bound.
 
-Subset selection enumerates every support of the requested size and solves
-the restricted regression exactly for each support that a previous solve's
-bounds cannot rule out, each from its own last fit. When at least
-``STACK_MIN_LPS`` such supports remain and each LP has at most
-``STACK_MAX_COLUMNS`` columns, they run as one stack through
-``simplex.lockstep_dual_simplex``, with the results of separate solves bit
-for bit.
+One builder, ``_lad_lps``, sets this LP up for a stack of column supports,
+solves it and undoes the scaling; ``weighted_lad_lp`` is that builder on
+the one support of every column. Subset selection enumerates every support
+of the requested size and hands the builder, in one call, each support that
+a previous solve's bounds cannot rule out, each from its own last fit. The
+builder picks the kernel: ``simplex.lockstep_dual_simplex`` for a stack of
+at least ``STACK_MIN_LPS`` LPs of at most ``STACK_MAX_COLUMNS`` columns,
+else one ``simplex.primal_simplex`` call per LP. Both return the bits of
+separate solves.
 """
 
 from __future__ import annotations
@@ -102,28 +104,70 @@ class SubsetSolution:
     fits: tuple[np.ndarray | None, ...]
 
 
-def _unit_exponents(values: np.ndarray) -> np.ndarray:
-    """Per column, the power of two that brings its largest magnitude into
-    [1, 2); zero for an all-zero column."""
-    peak = np.abs(values).max(axis=0, initial=0.0)
-    _, exponent = np.frexp(peak)
-    return np.where(peak > 0.0, 1 - exponent, 0)
+def _lad_lps(
+    b: np.ndarray,
+    a: np.ndarray,
+    weights: np.ndarray,
+    supports: np.ndarray | None,
+    starts: list,
+    cuts: np.ndarray | None = None,
+    limit: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``weighted_lad_lp`` on the columns of each row of ``supports``, from
+    the matching entry of ``starts`` (None for x = 0), run on the kernel
+    the module docstring names. Returns the (S, p) fits, the (S, n) duals
+    and the S objectives.
 
-
-def _lad_exponents(b: np.ndarray, a: np.ndarray, weights: np.ndarray) -> tuple:
-    """The scaling exponents of each column of ``a``, of ``b`` and of ``weights``."""
-    return _unit_exponents(a), int(_unit_exponents(b)), int(_unit_exponents(weights))
-
-
-def _scaled_lad(b: np.ndarray, a: np.ndarray, weights: np.ndarray, exponents: tuple) -> tuple:
-    """The dual's sign flip and power-of-two scaling: sigma, the signed
-    scaled columns ``sigma * a_s``, the scaled target and the scaled weights."""
-    col_exp, b_exp, w_exp = exponents
+    ``supports`` is an (S, p) array of column indices, or None for the one
+    LP on every column: None indexes as ``np.newaxis``, so that LP reads
+    ``a`` through views, and a support's rows of ``a.T[supports]`` are laid
+    out as ``a[:, support]``'s columns are. So each product is the BLAS call
+    a lone LP makes on the same operand, and each LP returns the bits of
+    its own ``weighted_lad_lp`` call.
+    """
+    n = len(b)
+    # the power of two that brings the largest magnitude of each column, of
+    # the target and of the weights into [1, 2): 1 - e for a peak of
+    # mantissa times 2^e, zero for an all-zero one, where frexp gives e = 0
+    peak = np.abs(np.concatenate([a.T, [b, weights]])).max(axis=1, initial=0.0)
+    exponent = (peak > 0.0) - np.frexp(peak)[1]
+    col_exp, (b_exp, w_exp) = exponent[:-2], exponent[-2:].tolist()
     b_s = np.ldexp(b, b_exp)
     w_s = np.ldexp(np.asarray(weights, dtype=float), w_exp)
     # d = sigma (w - z) with z in [0, 2w]; z = 0 is the dual of the fit x = 0
     sigma = np.where(b_s < 0, -1.0, 1.0)
-    return sigma, np.ldexp(a, col_exp) * sigma[:, None], b_s, w_s
+    columns = (np.ldexp(a, col_exp) * sigma[:, None]).T[supports]
+    n_lps, p, _ = columns.shape
+    # x = 2^shift x_s for the scaled coefficients x_s, which are the row
+    # multipliers; a cut g @ x <= limit reads (2^shift g) @ x_s <= limit
+    shift = col_exp[supports] - b_exp
+    width = n + p + (0 if cuts is None else len(cuts))
+    matrix = np.empty((n_lps, p, width))
+    matrix[..., :n] = columns
+    matrix[..., n : n + p] = np.eye(p)
+    if cuts is not None:
+        matrix[..., n + p :] = np.ldexp(cuts.T[supports], shift[..., None])
+    # the artificials' cost is the scaled start fit, the duals of the start
+    # basis, so row i's reduced cost is sigma_i times its residual
+    cost = np.empty((n_lps, width))
+    cost[:, :n] = np.abs(b_s)
+    for s, start in enumerate(starts):
+        cost[s, n : n + p] = 0.0 if start is None else np.ldexp(start, -shift[s])
+    cost[:, n + p :] = limit
+    upper = np.zeros(width)
+    upper[:n] = 2.0 * w_s
+    upper[n + p :] = np.inf
+    rhs = w_s @ columns.transpose(0, 2, 1)
+    basis = list(range(n, n + p))
+    if n_lps >= STACK_MIN_LPS and width <= STACK_MAX_COLUMNS:
+        results = lockstep_dual_simplex(matrix, rhs, cost, basis, upper=upper)
+    else:
+        results = [primal_simplex(matrix[s], rhs[s], cost[s], basis, upper=upper) for s in range(n_lps)]
+
+    x = np.ldexp([r.duals for r in results], shift)
+    duals = np.ldexp(sigma * (w_s - np.array([r.x[:n] for r in results])), -w_exp)
+    residual = b - (a.T[supports].transpose(0, 2, 1) @ x[..., None])[..., 0]
+    return x, duals, (weights @ np.abs(residual)[..., None])[..., 0]
 
 
 def weighted_lad_lp(
@@ -133,8 +177,6 @@ def weighted_lad_lp(
     cuts: np.ndarray | None = None,
     limit: float = 0.0,
     start: np.ndarray | None = None,
-    *,
-    _exponents: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ``sum_i w_i |b_i - a_i @ x|`` exactly, subject to
     ``g @ x <= limit`` for each row g of ``cuts``.
@@ -147,87 +189,14 @@ def weighted_lad_lp(
     ``start`` is the coefficient vector the LP starts from, its residual
     signs giving the starting bound pattern (see the module docstring);
     x = 0 when omitted.
-    ``_exponents`` is ``_lad_exponents(b, a, weights)`` when a caller that
-    solves many LPs over columns of one matrix has computed it already.
     """
-    n, m = a.shape
+    n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"target must have shape ({n},), got {b.shape}")
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
-
-    exponents = _exponents or _lad_exponents(b, a, weights)
-    col_exp, b_exp, w_exp = exponents
-    sigma, signed, b_s, w_s = _scaled_lad(b, a, weights, exponents)
-    # a cut g @ x <= limit reads g @ x_s <= limit in the scaled coefficients
-    g = np.empty((0, m)) if cuts is None else np.ldexp(cuts, col_exp - b_exp)
-    matrix = np.hstack([signed.T, np.eye(m), g.T])
-    # the artificials' cost is the scaled start fit, the duals of the start
-    # basis, so row i's reduced cost is sigma_i times its residual
-    y = np.zeros(m) if start is None else np.ldexp(start, b_exp - col_exp)
-    cost = np.concatenate([np.abs(b_s), y, np.full(len(g), limit)])
-    upper = np.concatenate([2.0 * w_s, np.zeros(m), np.full(len(g), np.inf)])
-    result = primal_simplex(matrix, w_s @ signed, cost, list(range(n, n + m)), upper=upper)
-
-    # the row multipliers are the scaled coefficients
-    x = np.ldexp(result.duals, col_exp - b_exp)
-    duals = np.ldexp(sigma * (w_s - result.x[:n]), -w_exp)
-    objective = float(weights @ np.abs(b - a @ x))
-    return x, duals, objective
-
-
-def _support_stack(
-    b: np.ndarray,
-    a: np.ndarray,
-    weights: np.ndarray,
-    supports: np.ndarray,
-    starts: list,
-    exponents: tuple,
-) -> tuple:
-    """The scaled dual LP that ``weighted_lad_lp`` solves for the columns of
-    each row of ``supports``, from the matching entry of ``starts`` (None
-    for x = 0), as ``lockstep_dual_simplex``'s ``(a, b, c, basis, upper)``.
-
-    Every product below is the same BLAS call on the same operands as in
-    ``weighted_lad_lp``: ``a[:, support]`` is column-major, so each
-    support's (n, p) operand is a transposed view of a (p, n) row block.
-    """
-    col_exp, b_exp, _ = exponents
-    n = len(b)
-    n_lps, p = supports.shape
-    _, signed, b_s, w_s = _scaled_lad(b, a, weights, exponents)
-    columns = signed.T[supports]
-    matrix = np.concatenate([columns, np.broadcast_to(np.eye(p), (n_lps, p, p))], axis=2)
-    rhs = w_s @ columns.transpose(0, 2, 1)
-    fits = np.array([np.zeros(p) if start is None else start for start in starts])
-    y = np.ldexp(fits, b_exp - col_exp[supports])
-    cost = np.concatenate([np.broadcast_to(np.abs(b_s), (n_lps, n)), y], axis=1)
-    upper = np.concatenate([2.0 * w_s, np.zeros(p)])
-    return matrix, rhs, cost, list(range(n, n + p)), upper
-
-
-def _support_lps(
-    b: np.ndarray,
-    a: np.ndarray,
-    weights: np.ndarray,
-    supports: np.ndarray,
-    starts: list,
-    exponents: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``weighted_lad_lp`` on the columns of each row of ``supports``, from
-    the matching entry of ``starts``, as one ``lockstep_dual_simplex`` stack.
-
-    Returns the (S, p) fits and the S objectives, bitwise those of one
-    ``weighted_lad_lp(b, a[:, support], weights, start=start)`` call per
-    support.
-    """
-    col_exp, b_exp, _ = exponents
-    matrix, rhs, cost, basis, upper = _support_stack(b, a, weights, supports, starts, exponents)
-    results = lockstep_dual_simplex(matrix, rhs, cost, basis, upper=upper)
-    x = np.ldexp(np.array([r.duals for r in results]), col_exp[supports] - b_exp)
-    residual = b - (a.T[supports].transpose(0, 2, 1) @ x[..., None])[..., 0]
-    objectives = (weights @ np.abs(residual)[..., None])[..., 0]
-    return x, objectives
+    x, duals, objective = _lad_lps(b, a, weights, None, [start], cuts, limit)
+    return x[0], duals[0], float(objective[0])
 
 
 def solve_weighted_lad(
@@ -303,24 +272,13 @@ def solve_subset_selection(
         )
 
     supports = list(combinations(range(m), p))
-    fits = [None] * n_supports
     solved = np.flatnonzero(~skip)
-    # a column's exponent does not depend on the support it sits in
-    col_exp, b_exp, w_exp = _lad_exponents(b, a, agg.weights)
-    if solved.size >= STACK_MIN_LPS and len(b) + p <= STACK_MAX_COLUMNS:
-        x, bounds[solved] = _support_lps(
-            b, a, agg.weights, np.array(supports)[solved], [carried[i] for i in solved],
-            (col_exp, b_exp, w_exp),
-        )
-        for i, fit in zip(solved.tolist(), x):
-            fits[i] = fit
-    else:
-        for i in solved.tolist():
-            cols = list(supports[i])
-            fits[i], _, bounds[i] = weighted_lad_lp(
-                b, a[:, cols], agg.weights, start=carried[i],
-                _exponents=(col_exp[cols], b_exp, w_exp),
-            )
+    x, _, bounds[solved] = _lad_lps(
+        b, a, agg.weights, np.array(supports)[solved], [carried[i] for i in solved]
+    )
+    fits = [None] * n_supports
+    for i, fit in zip(solved.tolist(), x):
+        fits[i] = fit
     low = bounds[solved].min()
     best = int(solved[np.argmax(bounds[solved] <= low + bound_slack(bounds[solved], low, scale))])
     x_full = np.zeros(m)

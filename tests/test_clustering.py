@@ -304,6 +304,20 @@ class TestBuildInitialPartition:
         with pytest.raises(ValueError):
             build_initial_partition(None, a, InitialClusterConfig(2, "residuals", 0))
 
+    def test_singleton_start_builds_no_features(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(clustering, "residual_features", lambda *args: calls.append(args))
+        a = DataMatrix(rng.standard_normal((40, 3)))
+        b = DataMatrix(rng.standard_normal((40, 1)))
+        part = build_initial_partition(b, a, InitialClusterConfig(40, "residuals", 4))
+        assert part == ClusterPartition.singletons(40)
+        assert calls == []
+        # the configuration is still checked first
+        with pytest.raises(ValueError, match="need target data"):
+            build_initial_partition(None, a, InitialClusterConfig(40, "residuals", 4))
+        with pytest.raises(ValueError, match="unknown feature source"):
+            build_initial_partition(b, a, InitialClusterConfig(40, "columns", 4))
+
     def test_one_cluster_per_row_is_singletons_despite_equal_features(self, rng):
         # an exact fit interpolates some rows, whose residual features are all zero
         a = rng.standard_normal((12, 3))

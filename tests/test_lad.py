@@ -132,8 +132,9 @@ class TestSubsetSelection:
     @pytest.mark.parametrize("kind", ["normal", "integer", "duplicated", "exact", "exact-1e8"])
     def test_each_support_is_its_own_lp_bit_for_bit(self, kind, monkeypatch):
         # five or more narrow supports run as one stack, fewer one by one;
-        # each support's fit and bound must be those of its own
-        # weighted_lad_lp call, cold and from the fits an earlier solve carries
+        # each support's fit, dual and bound must be those of its own
+        # weighted_lad_lp call, cold and from the fits an earlier solve
+        # carries, and its dual must certify its bound
         stacks = []
         original = lad.lockstep_dual_simplex
 
@@ -148,15 +149,23 @@ class TestSubsetSelection:
             target, features = subset_instance(rng, 24, m, kind)
             b, a = target.values[:, 0], features.values
             w = rng.integers(1, 40, size=24)
+            supports = list(combinations(range(m), p))
             first = solve_subset_selection(make_agg(b[:12], a[:12], w[:12]), p)
             agg = make_agg(b, a, w)
+            scale = float(w @ np.abs(b))
             for prior in (None, (first, np.inf)):
                 sol = solve_subset_selection(agg, p, prior=prior)
-                for i, support in enumerate(combinations(range(m), p)):
-                    start = None if prior is None else first.fits[i]
-                    x, _, objective = lad.weighted_lad_lp(b, a[:, support], w, start=start)
-                    assert np.array_equal(sol.fits[i], x)
-                    assert sol.support_bounds[i] == objective
+                starts = [None if prior is None else fit for fit in first.fits]
+                fits, duals, bounds = lad._lad_lps(b, a, w, np.array(supports), starts)
+                for i, support in enumerate(supports):
+                    x, d, objective = lad.weighted_lad_lp(b, a[:, support], w, start=starts[i])
+                    assert np.array_equal(sol.fits[i], x) and np.array_equal(fits[i], x)
+                    assert np.array_equal(duals[i], d)
+                    assert sol.support_bounds[i] == bounds[i] == objective
+                    columns = a[:, support]
+                    assert np.all(np.abs(d) <= w)
+                    assert np.all(np.abs(columns.T @ d) <= 1e-9 * (np.abs(columns).T @ w))
+                    assert abs(b @ d - objective) <= bound_slack(b @ d, objective, scale)
         assert stacks and min(stacks) >= lad.STACK_MIN_LPS
 
     def test_stack_only_for_enough_narrow_supports(self, monkeypatch):

@@ -239,9 +239,9 @@ def test_weighted_lad_dual_certificate(rng):
 
 def support_stack(rng, kind, n, m, p):
     """The scaled LAD dual LP of every size-p support of a random
-    ``subset_instance``, as ``weighted_lad_lp`` builds it, each from its
-    own start: x = 0, a random fit, the support's optimum, or that optimum
-    blurred."""
+    ``subset_instance``, as ``lad._lad_lps`` builds it and hands it to a
+    simplex kernel, each from its own start: x = 0, a random fit, the
+    support's optimum, or that optimum blurred."""
     target, features = subset_instance(rng, n, m, kind)
     b, a = target.values[:, 0], features.values
     w = rng.integers(1, 50, size=n).astype(float)
@@ -255,7 +255,21 @@ def support_stack(rng, kind, n, m, p):
         else:
             x, _, _ = weighted_lad_lp(b, a[:, support], w)
             starts.append(x if i % 4 == 2 else x * rng.uniform(0.9, 1.1, p))
-    return lad._support_stack(b, a, w, supports, starts, lad._lad_exponents(b, a, w))
+    # a stack of LPs or one LP per call, whichever kernel the builder picks
+    lps = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("primal_simplex", "lockstep_dual_simplex"):
+
+            def recording(a, b, c, basis, upper, kernel=getattr(lad, name)):
+                lps.append((a, b, c, basis, upper))
+                return kernel(a, b, c, basis, upper=upper)
+
+            patch.setattr(lad, name, recording)
+        lad._lad_lps(b, a, w, supports, starts)
+    if len(lps) == 1 and lps[0][0].ndim == 3:
+        return lps[0]
+    stacked_a, stacked_b, stacked_c, bases, uppers = zip(*lps)
+    return np.array(stacked_a), np.array(stacked_b), np.array(stacked_c), bases[0], uppers[0]
 
 
 def assert_lockstep_matches_single(a, b, c, basis, upper, **kwargs):
