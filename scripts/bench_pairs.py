@@ -20,7 +20,8 @@ end-to-end metric of ``BENCHMARK.json``, judged by its ``better`` and
 ``bound`` (see ``verdict``): improved, within bound, WORSE (beyond the
 bound) or unresolved (OLD's quartile spread is wider than the bound), then
 in how many pairs NEW was better and the median change against that
-spread.
+spread. A last verdict line judges the raw ``wall_solve_s_p50`` the same
+way, against ``solve_s_p50``'s bound; it is marked "raw, not declared".
 
 The normalized times divide each wall time by a calibration kernel timed in
 the same process, and that kernel's speed can move with what the solver
@@ -92,6 +93,24 @@ def verdict(old: list[float], new: list[float], better: str, bound: float) -> Ve
     )
 
 
+def verdict_lines(runs: dict[str, list[dict]], declared: list[dict]) -> list[str]:
+    """One verdict line per declared end-to-end metric, then one for raw wall time.
+
+    ``wall_solve_s_p50`` is judged lower-is-better against ``solve_s_p50``'s
+    bound, so a record shows whether a normalized gain holds in wall time.
+    """
+    solve_bound = next(m["bound"] for m in declared if m["name"] == "solve_s_p50")
+    judged = [(m["name"], m["better"], m["bound"], "") for m in declared]
+    judged.append(("wall_solve_s_p50", "lower", solve_bound, "raw, not declared, "))
+    lines = []
+    for name, better, bound, note in judged:
+        v = verdict([r[name] for r in runs["old"]], [r[name] for r in runs["new"]], better, bound)
+        lines.append(f"verdict {name} ({note}{better} is better, bound {bound:g}): {v.label};"
+                     f" new better in {v.won} of {v.pairs} pairs; median change {v.change:+.6g}"
+                     f" against old quartile spread {v.spread:.6g}")
+    return lines
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``; its metrics by FIELDS name."""
     proc = subprocess.run(
@@ -144,13 +163,8 @@ def main() -> None:
         quartiles = statistics.quantiles(p50, n=4) if len(p50) > 1 else [p50[0]] * 3
         print(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
     declared = json.loads((arms["new"] / "BENCHMARK.json").read_text())["end_to_end"]
-    for metric in declared:
-        name = metric["name"]
-        v = verdict([r[name] for r in runs["old"]], [r[name] for r in runs["new"]],
-                    metric["better"], metric["bound"])
-        print(f"verdict {name} ({metric['better']} is better, bound {metric['bound']:g}): {v.label};"
-              f" new better in {v.won} of {v.pairs} pairs; median change {v.change:+.6g}"
-              f" against old quartile spread {v.spread:.6g}")
+    for line in verdict_lines(runs, declared):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aidfit
+from aidfit import bench
 from aidfit.bench import (
     REPORT_SCHEMA,
     RunSettings,
@@ -136,6 +137,85 @@ class TestRunSolve:
         a, b, _ = generate_instance(spec)
         direct = solve_subset_selection(make_agg(b.values, a.values), p=2)
         assert abs(payload["objective"] - direct.objective) <= 1e-9
+
+
+class TestReportSchema:
+    def test_solves_do_not_recheck_the_metaschema(self, monkeypatch):
+        meta_checks = []
+        iter_errors = jsonschema.Draft7Validator.iter_errors
+
+        def spy_iter_errors(self, instance):
+            if self.schema is jsonschema.Draft7Validator.META_SCHEMA:
+                meta_checks.append(instance)
+            return iter_errors(self, instance)
+
+        monkeypatch.setattr(jsonschema.Draft7Validator, "iter_errors", spy_iter_errors)
+        # the spy sees the check a plain validate makes
+        report = run_solve(RunSettings(problem="lad", seed=1), tiny_spec(1))
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert meta_checks
+        meta_checks.clear()
+
+        validate_calls = []
+        validate = jsonschema.validate
+
+        def spy_validate(*args, **kwargs):
+            validate_calls.append(args[0])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(jsonschema, "validate", spy_validate)
+        pca_spec = SyntheticSpec(n=8, m=3, informative_p=0, seed=6, kind="pca_sample")
+        solves = [
+            (RunSettings(problem="lad", seed=1), tiny_spec(1)),
+            (RunSettings(problem="subset", p=2, seed=5), tiny_spec(5)),
+            (RunSettings(problem="l1pca", p=1, seed=6), pca_spec),
+            (RunSettings(problem="lad", seed=2), tiny_spec(2)),
+        ]
+        reports = [run_solve(settings, spec) for settings, spec in solves]
+        assert meta_checks == []
+        assert validate_calls == reports
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda r: r["payload"].update(iterations_run=0),
+            lambda r: r["payload"].update(termination="stalled"),
+            lambda r: r["meta"].pop("partition_s"),
+        ],
+        ids=["iterations_run_0", "termination_outside_enum", "no_partition_s"],
+    )
+    def test_invalid_report_fails_as_plain_validate_does(self, monkeypatch, corrupt):
+        payload = run_solve(RunSettings(problem="lad", seed=1), tiny_spec(1))["payload"]
+        validate = jsonschema.validate
+        seen = []
+
+        def corrupt_then_validate(report, *args, **kwargs):
+            corrupt(report)
+            seen.append(json.loads(json.dumps(report)))
+            return validate(report, *args, **kwargs)
+
+        # corrupt the report inside the library's own validate call
+        monkeypatch.setattr(jsonschema, "validate", corrupt_then_validate)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            bench._assemble_report(payload, 1.0, 0.5)
+        with pytest.raises(jsonschema.ValidationError) as plain:
+            validate(seen[0], REPORT_SCHEMA)
+        assert got.value.message == plain.value.message
+        assert list(got.value.path) == list(plain.value.path)
+
+    def test_fresh_process_imports_and_solves_warning_free(self):
+        src = Path(aidfit.__file__).resolve().parent.parent
+        code = (
+            "from aidfit.bench import RunSettings, run_solve\n"
+            "from aidfit.data_io import SyntheticSpec\n"
+            "spec = SyntheticSpec(n=25, m=3, informative_p=2, seed=1)\n"
+            "run_solve(RunSettings(problem='lad', seed=1), spec)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestRelativeError:

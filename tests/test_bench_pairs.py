@@ -8,6 +8,7 @@ spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 verdict = bench_pairs.verdict
+verdict_lines = bench_pairs.verdict_lines
 
 OLD = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
 # median 10.0 as OLD, quartiles 8.0 and 12.0: a spread of 4.0
@@ -80,3 +81,27 @@ def test_rejects_bad_input():
         verdict(OLD, OLD, "faster", 0.2)
     with pytest.raises(ValueError):
         verdict(OLD, OLD[:-1], "lower", 0.2)
+
+
+def test_raw_wall_time_gets_its_own_verdict_line():
+    declared = [
+        {"name": "solve_s_p50", "better": "lower", "bound": 0.2},
+        {"name": "solves_per_s", "better": "higher", "bound": 0.25},
+    ]
+    # normalized time improves while raw wall time gets worse
+    runs = {
+        "old": [{"solve_s_p50": o, "solves_per_s": 1 / o, "wall_solve_s_p50": o} for o in OLD],
+        "new": [
+            {"solve_s_p50": o - 1.5, "solves_per_s": 1 / (o - 1.5), "wall_solve_s_p50": o + 2.5}
+            for o in OLD
+        ],
+    }
+    lines = verdict_lines(runs, declared)
+    assert [line.split()[1] for line in lines] == [
+        "solve_s_p50", "solves_per_s", "wall_solve_s_p50"
+    ]
+    assert lines[0].startswith("verdict solve_s_p50 (lower is better, bound 0.2): improved;")
+    assert lines[2].startswith(
+        "verdict wall_solve_s_p50 (raw, not declared, lower is better, bound 0.2): WORSE;"
+    )
+    assert "new better in 0 of 10 pairs" in lines[2]
