@@ -15,13 +15,17 @@ the pairs of
     solve_s_p50 solves_per_s wall_solve_s_p50 kernel_s setup_s peak_rss_mb
 
 (``kernel_s`` is the median of the run's per-solve calibration times) and
-the quartiles of ``solve_s_p50``. Last comes one verdict line per
-end-to-end metric of ``BENCHMARK.json``, judged by its ``better`` and
+the quartiles of ``solve_s_p50``, then each arm's per-run ``setup_s``
+values, sorted: ``setup_s`` can take one of two modes per process, and a
+median alone hides which mode each run got. Last comes one verdict line
+per end-to-end metric of ``BENCHMARK.json``, judged by its ``better`` and
 ``bound`` (see ``verdict``): improved, within bound, WORSE (beyond the
 bound) or unresolved (OLD's quartile spread is wider than the bound), then
 in how many pairs NEW was better and the median change against that
-spread. A last verdict line judges the raw ``wall_solve_s_p50`` the same
+spread. One more verdict line judges the raw ``wall_solve_s_p50`` the same
 way, against ``solve_s_p50``'s bound; it is marked "raw, not declared".
+The last, ``normalizer`` line compares the arms' median ``kernel_s`` (see
+``normalizer_line``).
 
 The normalized times divide each wall time by a calibration kernel timed in
 the same process, and that kernel's speed can move with what the solver
@@ -111,6 +115,24 @@ def verdict_lines(runs: dict[str, list[dict]], declared: list[dict]) -> list[str
     return lines
 
 
+def normalizer_line(runs: dict[str, list[dict]], bound: float) -> str:
+    """Whether both arms' normalized times divide by one calibration kernel state.
+
+    When the arms' median ``kernel_s`` differ by more than ``bound`` (a
+    fraction of OLD's median, ``solve_s_p50``'s bound), the normalized
+    verdicts compare two kernel states, not two programs, and the raw wall
+    times are the ones to read.
+    """
+    old = statistics.median(r["kernel_s"] for r in runs["old"])
+    new = statistics.median(r["kernel_s"] for r in runs["new"])
+    label = "same kernel state"
+    if abs(new - old) > bound * old:
+        label = ("KERNEL STATES DIFFER: the normalized verdicts compare two kernel states,"
+                 " not two programs")
+    return (f"verdict normalizer (median kernel_s, bound {bound:g}): {label};"
+            f" old {old:.6g} new {new:.6g}, change {new / old - 1.0:+.1%}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``; its metrics by FIELDS name."""
     proc = subprocess.run(
@@ -162,9 +184,14 @@ def main() -> None:
         p50 = [r["solve_s_p50"] for r in rs]
         quartiles = statistics.quantiles(p50, n=4) if len(p50) > 1 else [p50[0]] * 3
         print(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
+    for arm, rs in runs.items():
+        setups = sorted(r["setup_s"] for r in rs)
+        print(f"{arm} setup_s runs " + " ".join(f"{v:.6g}" for v in setups))
     declared = json.loads((arms["new"] / "BENCHMARK.json").read_text())["end_to_end"]
     for line in verdict_lines(runs, declared):
         print(line)
+    solve_bound = next(m["bound"] for m in declared if m["name"] == "solve_s_p50")
+    print(normalizer_line(runs, solve_bound))
 
 
 if __name__ == "__main__":

@@ -173,6 +173,16 @@ class ClusterPartition:
         """Read-only int64 cluster index of every row."""
         return self._labels
 
+    def fresh(self) -> np.ndarray:
+        """Mask of the clusters that the split making this partition created.
+
+        A cluster the split kept whole has a ``parent`` entry that no other
+        cluster shares. Every cluster is fresh when ``parent`` is None.
+        """
+        if self.parent is None:
+            return np.ones(self.cluster_count, dtype=bool)
+        return np.bincount(self.parent)[self.parent] > 1
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterPartition):
             return NotImplemented
@@ -308,9 +318,18 @@ class ProblemDefinition(abc.ABC):
     # Maximize-sense problems also implement the three methods below; the
     # engine never calls them for minimize-sense ones.
 
-    def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:
+    def bound_terms(
+        self, a: np.ndarray, partition: ClusterPartition, previous: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per-cluster terms whose sum, added to the aggregated optimum,
-        bounds the full optimum from above; zero for clusters of identical rows."""
+        bounds the full optimum from above; zero for clusters of identical rows.
+
+        ``previous`` is None on a run's first iteration. Later ``run_aid``
+        passes the terms this method returned for the partition the current
+        one was split from. A cluster that split kept whole (see
+        ``ClusterPartition.fresh``) must get the same term as there, so a
+        problem may copy it and compute only the clusters the split created.
+        """
         raise NotImplementedError(f"{type(self).__name__} has no upper bound")
 
     def split_cluster(
@@ -419,8 +438,8 @@ def aggregate(
     order, divided by its size. ``previous``, the aggregate of the partition
     that ``partition`` was split from, supplies the means of the clusters
     that the split kept (a ``partition.parent`` entry that no other cluster
-    shares), so only the new clusters are summed, all in one
-    ``np.add.reduceat`` call per array.
+    shares; see ``ClusterPartition.fresh``), so only the new clusters are
+    summed, all in one ``np.add.reduceat`` call per array.
     """
     if b.shape[0] != partition.n or a.shape[0] != partition.n:
         raise PartitionError(
@@ -428,19 +447,18 @@ def aggregate(
             f"{partition.n} rows"
         )
     k = partition.cluster_count
-    parent = partition.parent
     b_out = np.empty((k, b.shape[1]))
     a_out = np.empty((k, a.shape[1]))
-    fresh = np.ones(k, dtype=bool)
-    if previous is not None and parent is not None:
-        fresh = np.bincount(parent)[parent] > 1
-        b_out[~fresh] = previous.B_agg[parent[~fresh]]
-        a_out[~fresh] = previous.A_agg[parent[~fresh]]
+    fresh = np.ones(k, dtype=bool) if previous is None else partition.fresh()
+    kept = ~fresh
+    if kept.any():
+        b_out[kept] = previous.B_agg[partition.parent[kept]]
+        a_out[kept] = previous.A_agg[partition.parent[kept]]
     rows = partition.order[np.repeat(fresh, partition.sizes)]
     sizes = partition.sizes[fresh]
     starts = np.cumsum(sizes) - sizes
-    b_out[fresh] = np.add.reduceat(b[rows], starts) / sizes[:, None]
-    a_out[fresh] = np.add.reduceat(a[rows], starts) / sizes[:, None]
+    b_out[fresh] = np.add.reduceat(np.take(b, rows, axis=0), starts) / sizes[:, None]
+    a_out[fresh] = np.add.reduceat(np.take(a, rows, axis=0), starts) / sizes[:, None]
     return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
 
 
@@ -637,11 +655,13 @@ def run_aid(
     bound is the solution's ``objective`` minus its ``certified_gap`` when it
     carries one (see ``ProblemDefinition.solve_weighted``). Every solve after
     the first gets ``prior``: the previous solution and the incumbent's
-    objective (see ``ProblemDefinition.solve_weighted``). Disagreeing
-    clusters are split by ``decluster``. When a maximize-sense run's
-    clusters agree but its gap exceeds ``tol``, ``refine`` splits every
-    cluster with a positive upper-bound term. Raises ``IterationLimitError``
-    carrying the partial report if ``config.max_iters`` is exhausted first.
+    objective (see ``ProblemDefinition.solve_weighted``). Likewise every
+    ``bound_terms`` call after the first gets the previous iteration's terms
+    (see ``ProblemDefinition.bound_terms``). Disagreeing clusters are split
+    by ``decluster``. When a maximize-sense run's clusters agree but its gap
+    exceeds ``tol``, ``refine`` splits every cluster with a positive
+    upper-bound term. Raises ``IterationLimitError`` carrying the partial
+    report if ``config.max_iters`` is exhausted first.
     """
     config = config or AidConfig()
     if B.rows != A.rows or B.rows != initial.n:
@@ -673,6 +693,7 @@ def run_aid(
 
     agg = None
     prior = None
+    terms = None
     for t in range(1, max_iters + 1):
         agg = aggregate(b, a, partition, previous=agg)
         solution = problem.solve_weighted(agg, config.solver, prior=prior)
@@ -686,7 +707,7 @@ def run_aid(
             best_solution = solution
         prior = (solution, best_objective)
         if maximize:
-            terms = problem.bound_terms(a, partition)
+            terms = problem.bound_terms(a, partition, previous=terms)
             upper = min(upper, bound + float(terms.sum()))
         gap = optimality_gap(best_objective, bound, upper, scale)
         records.append(

@@ -106,8 +106,10 @@ class PcaProjectionProblem(ProblemDefinition):
     ) -> PcaSolution:
         return solve_weighted_l1pca(agg, self.p, cap=config.pca_cap)
 
-    def bound_terms(self, a: np.ndarray, partition: ClusterPartition) -> np.ndarray:
-        return spread_bound_terms(a, partition, self.p)
+    def bound_terms(
+        self, a: np.ndarray, partition: ClusterPartition, previous: np.ndarray | None = None
+    ) -> np.ndarray:
+        return spread_bound_terms(a, partition, self.p, previous)
 
     def split_cluster(self, a: np.ndarray, cluster: np.ndarray):
         return principal_halves(a, cluster)

@@ -36,6 +36,7 @@ __all__ = [
 
 CHUNK = 1 << 17  # scores per GEMM chunk of the p=1 enumeration
 TIE_REL = 1e-10  # relative band below the best expanded score that is rescored
+DIRECT_BLOCK = 1 << 17  # floats per block of signed rows in ``_direct_scores``
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,21 @@ def _direct_scores(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     The rows are added first to last and the squares summed column by
     column, so a vector's score does not depend on which others are scored
     with it (BLAS rounds a row of a product differently with the row count).
-    Memory is a few arrays of ``idx.size`` by m.
+    Both sums are ``np.add.accumulate`` calls, which add strictly in order
+    where ``sum`` would add pairwise. The signed rows are formed S vectors
+    at a time: memory is a few blocks of S x n x m floats, with S n m at
+    most ``DIRECT_BLOCK`` (S is at least 1).
     """
-    n = a.shape[0]
-    proj = np.tile(a[0], (idx.size, 1))
-    for r in range(1, n):
-        sign = 1.0 - 2.0 * ((idx >> (n - 1 - r)) & 1)
-        proj += sign[:, None] * a[r]
-    scores = np.zeros(idx.size)
-    for col in proj.T:
-        scores += col * col
+    n, m = a.shape
+    shifts = np.arange(n - 2, -1, -1)
+    step = max(1, DIRECT_BLOCK // (n * m))
+    scores = np.empty(idx.size)
+    for s0 in range(0, idx.size, step):
+        block = idx[s0 : s0 + step]
+        signs = np.ones((block.size, n))
+        signs[:, 1:] -= 2.0 * ((block[:, None] >> shifts) & 1)
+        proj = np.add.accumulate(signs[:, :, None] * a, axis=1)[:, -1]
+        scores[s0 : s0 + step] = np.add.accumulate(proj * proj, axis=1)[:, -1]
     return scores
 
 
@@ -202,7 +208,9 @@ def enumeration_fits(rows: int, p: int, cap: int) -> bool:
     return bits < 63 and 2**bits <= cap
 
 
-def spread_bound_terms(a: np.ndarray, partition: ClusterPartition, p: int) -> np.ndarray:
+def spread_bound_terms(
+    a: np.ndarray, partition: ClusterPartition, p: int, previous: np.ndarray | None = None
+) -> np.ndarray:
     """Per-cluster bound on how far the full objective exceeds the aggregated one.
 
     For every orthonormal m-by-p X and cluster c of w_c rows with mean abar_c,
@@ -218,9 +226,22 @@ def spread_bound_terms(a: np.ndarray, partition: ClusterPartition, p: int) -> np
     added to the aggregated optimum, the terms bound the full optimum from
     above. Clusters of identical rows get exactly zero, tested on the rows
     themselves: a float mean can differ from the row it repeats.
+
+    ``previous`` holds the terms of the partition that ``partition`` was
+    split from. A cluster the split kept whole (see
+    ``ClusterPartition.fresh``) copies its term from there, and only the
+    clusters the split created are computed, by the same arithmetic, so
+    every term has the bits of a fresh call. Memory is the gathered rows of
+    those clusters plus their (k, m, m) scatter stack.
     """
-    starts, sizes = partition.starts, partition.sizes
-    rows = a[partition.order]
+    fresh = np.ones(partition.cluster_count, dtype=bool) if previous is None else partition.fresh()
+    terms = np.empty(partition.cluster_count)
+    kept = ~fresh
+    if kept.any():
+        terms[kept] = previous[partition.parent[kept]]
+    sizes = partition.sizes[fresh]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.take(a, partition.order[np.repeat(fresh, partition.sizes)], axis=0)
     spread = (np.maximum.reduceat(rows, starts) != np.minimum.reduceat(rows, starts)).any(axis=1)
     rows -= np.repeat(np.add.reduceat(rows, starts) / sizes[:, None], sizes, axis=0)
     scatter = np.empty((sizes.size, a.shape[1], a.shape[1]))
@@ -228,7 +249,8 @@ def spread_bound_terms(a: np.ndarray, partition: ClusterPartition, p: int) -> np
         block = rows[start : start + size]
         np.matmul(block.T, block, out=scatter[c])
     top = np.maximum(np.linalg.eigvalsh(scatter)[:, -p:], 0.0).sum(axis=1)
-    return np.where(spread, np.sqrt(p * sizes * top), 0.0)
+    terms[fresh] = np.where(spread, np.sqrt(p * sizes * top), 0.0)
+    return terms
 
 
 def principal_halves(
@@ -246,7 +268,8 @@ def principal_halves(
     rows differ only by rounding; then the first row is split off.
     """
     idx = np.asarray(cluster)
-    centred = a[idx] - a[idx].mean(axis=0)
+    rows = np.take(a, idx, axis=0)
+    centred = rows - rows.mean(axis=0)
     v = np.linalg.svd(centred, full_matrices=False)[2][0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -143,6 +143,23 @@ def l1pca_enumeration_oracle(a: np.ndarray, p: int) -> float:
     return best
 
 
+def direct_scores_row_loop(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``pca._direct_scores`` as a loop over the rows, then over the columns.
+
+    Squared norm of s @ a for the p=1 counter values ``idx``: the rows are
+    added first to last and the squares summed column by column.
+    """
+    n = a.shape[0]
+    proj = np.tile(a[0], (idx.size, 1))
+    for r in range(1, n):
+        sign = 1.0 - 2.0 * ((idx >> (n - 1 - r)) & 1)
+        proj += sign[:, None] * a[r]
+    scores = np.zeros(idx.size)
+    for col in proj.T:
+        scores += col * col
+    return scores
+
+
 def l1pca_first_maximizer_oracle(a: np.ndarray) -> np.ndarray:
     """First p=1 sign vector in counter order maximizing the direct score.
 

@@ -9,6 +9,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 verdict = bench_pairs.verdict
 verdict_lines = bench_pairs.verdict_lines
+normalizer_line = bench_pairs.normalizer_line
 
 OLD = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
 # median 10.0 as OLD, quartiles 8.0 and 12.0: a spread of 4.0
@@ -105,3 +106,25 @@ def test_raw_wall_time_gets_its_own_verdict_line():
         "verdict wall_solve_s_p50 (raw, not declared, lower is better, bound 0.2): WORSE;"
     )
     assert "new better in 0 of 10 pairs" in lines[2]
+
+
+def test_normalizer_line_flags_two_kernel_states():
+    # the kernel ran at about 0.034 s in one arm and 0.015 s in the other
+    runs = {
+        "old": [{"kernel_s": k} for k in (0.033, 0.034, 0.035)],
+        "new": [{"kernel_s": k} for k in (0.014, 0.015, 0.036)],
+    }
+    line = normalizer_line(runs, 0.2)
+    assert line.startswith("verdict normalizer (median kernel_s, bound 0.2): KERNEL STATES DIFFER")
+    assert "compare two kernel states, not two programs" in line
+    assert "old 0.034 new 0.015" in line
+
+
+def test_normalizer_line_accepts_kernels_within_the_bound():
+    runs = {"old": [{"kernel_s": 0.0157}], "new": [{"kernel_s": 0.0159}]}
+    line = normalizer_line(runs, 0.2)
+    assert "same kernel state" in line and "DIFFER" not in line
+    # 15 % slower is within a 0.2 bound, 25 % faster is not
+    assert "same kernel state" in normalizer_line(
+        {"old": [{"kernel_s": 1.0}], "new": [{"kernel_s": 1.15}]}, 0.2)
+    assert "DIFFER" in normalizer_line({"old": [{"kernel_s": 1.0}], "new": [{"kernel_s": 0.75}]}, 0.2)

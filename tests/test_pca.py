@@ -3,7 +3,7 @@ import pytest
 
 from aidfit.problems import pca
 from aidfit.problems.lad import InstanceTooLargeError
-from aidfit.core import ClusterPartition, aggregate
+from aidfit.core import AidConfig, ClusterPartition, aggregate, decluster, refine, run_aid
 from aidfit.problems.pca import (
     enumeration_fits,
     principal_halves,
@@ -13,8 +13,11 @@ from aidfit.problems.pca import (
     weighted_to_unweighted_pca,
 )
 from aidfit.linalg import DataMatrix
+from aidfit.problems import definitions
+from aidfit.problems.definitions import PcaProjectionProblem
 from conftest import make_agg
 from oracles import (
+    direct_scores_row_loop,
     l1pca_enumeration_oracle,
     l1pca_first_maximizer_oracle,
     l1pca_sampling_bound,
@@ -208,6 +211,25 @@ class TestTieBreak:
         assert sum(batches) == 2**19
         assert max(batches) <= pca.CHUNK
 
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("n", [1, 2, 9, 17, 23])
+    def test_direct_scores_match_the_row_loop_bitwise(self, rng, n, m):
+        # at n = 23, m = 8 a block holds 712 vectors, so 5000 span eight
+        a = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        for size in (1, 7, 5000):
+            idx = rng.integers(0, 2 ** (n - 1), size=size)
+            expected = direct_scores_row_loop(a, idx)
+            assert pca._direct_scores(a, idx).tobytes() == expected.tobytes(), size
+
+    def test_direct_scores_blocks_split_anywhere(self, rng, monkeypatch):
+        # blocks of 3, 2 and 1 vectors (block sizes floor at one vector)
+        a = rng.standard_normal((9, 4))
+        idx = rng.integers(0, 2**8, size=50)
+        expected = direct_scores_row_loop(a, idx)
+        for block in (3 * 36, 2 * 36 + 35, 1, 0):
+            monkeypatch.setattr(pca, "DIRECT_BLOCK", block)
+            assert pca._direct_scores(a, idx).tobytes() == expected.tobytes(), block
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
     def test_half_tables_are_signed_sums_in_counter_order(self, rng, n):
         a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
@@ -335,6 +357,65 @@ class TestUpperBound:
                 sv = np.linalg.svd(rows - rows.mean(axis=0), compute_uv=False)[:p]
                 expected = np.sqrt(p * len(rows) * float(sv @ sv))
                 assert abs(terms[c] - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_carried_terms_equal_fresh_terms_bitwise(self, rng, p):
+        # chains of decluster and refine steps: each step's terms, carried
+        # from the previous step's, must equal terms computed from scratch
+        problem = PcaProjectionProblem(p)
+        for _ in range(20):
+            n = int(rng.integers(6, 60))
+            m = int(rng.integers(p, 6))
+            a = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4)
+            a[rng.integers(n, size=n // 4)] = a[0]
+            # every cluster holds two rows or more, so the first step can
+            # split them all
+            k = int(rng.integers(1, n // 2 + 1))
+            part = ClusterPartition.from_labels(rng.permutation(np.arange(n) % k))
+            assert part.parent is None
+            terms = spread_bound_terms(a, part, p)
+            # without a parent, previous terms are ignored
+            ignored = spread_bound_terms(a, part, p, previous=np.full(k, np.nan))
+            assert ignored.tobytes() == terms.tobytes()
+            for step in range(4):
+                if step == 0:
+                    child = refine(a, problem, part, np.ones(k))
+                    assert child.fresh().all()
+                elif rng.uniform() < 0.5 and (terms > 0.0).any():
+                    child = refine(a, problem, part, terms)
+                else:
+                    codes = rng.integers(0, 3, size=n)
+                    ordered = codes[part.order]
+                    mixed = np.flatnonzero(
+                        np.minimum.reduceat(ordered, part.starts)
+                        != np.maximum.reduceat(ordered, part.starts)
+                    )
+                    if mixed.size == 0:
+                        break
+                    violating = rng.choice(mixed, size=int(rng.integers(1, mixed.size + 1)),
+                                           replace=False)
+                    child = decluster(part, codes, np.sort(violating))
+                carried = spread_bound_terms(a, child, p, previous=terms)
+                assert carried.tobytes() == spread_bound_terms(a, child, p).tobytes()
+                part, terms = child, carried
+
+    def test_run_aid_passes_the_previous_terms(self, rng, monkeypatch):
+        calls = []
+        terms_of = pca.spread_bound_terms
+
+        def spy(a, partition, p, previous=None):
+            terms = terms_of(a, partition, p, previous)
+            calls.append((partition, previous, terms))
+            return terms
+
+        monkeypatch.setattr(definitions, "spread_bound_terms", spy)
+        a = rng.standard_normal((40, 3))
+        problem = PcaProjectionProblem(1)
+        run_aid(DataMatrix(np.zeros((40, 1))), DataMatrix(a), problem,
+                random_clusters(rng, 40, 4), AidConfig(tol=0.0))
+        assert len(calls) >= 2 and calls[0][1] is None
+        for (_, _, before), (partition, previous, _) in zip(calls, calls[1:]):
+            assert previous is before and partition.parent is not None
 
     def test_budget_matches_solver_cap(self, rng):
         assert enumeration_fits(5, 1, 16) and not enumeration_fits(6, 1, 16)
