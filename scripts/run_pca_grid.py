@@ -25,7 +25,6 @@ def main() -> None:
     parser.add_argument("--components", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--k0", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("pca_grid.json"))
     args = parser.parse_args()
 
@@ -37,7 +36,6 @@ def main() -> None:
         grid,
         reps=args.reps,
         base_settings=RunSettings(problem="l1pca", tol=0.0),
-        jobs=args.jobs,
     )
     print(f"{'cell':<30} {'mean delta':>10} {'mean rho':>9} {'mean T':>7} {'mean r_agg':>10}")
     for agg in aggregates:

@@ -198,15 +198,12 @@ def default_feature_source(problem: str) -> str:
 def _initial_partition(
     settings: RunSettings, b: DataMatrix | None, a: DataMatrix
 ) -> ClusterPartition:
-    n = a.rows
-    k0 = settings.k0 if settings.k0 is not None else default_initial_cluster_count(n)
-    source = settings.feature_source or default_feature_source(settings.problem)
     feature_p = settings.feature_p
     if feature_p is None and settings.p is not None and settings.problem != "l1pca":
         feature_p = settings.p
     cfg = InitialClusterConfig(
-        target_cluster_count=k0,
-        feature_source=source,
+        target_cluster_count=settings.k0,
+        feature_source=settings.feature_source,
         seed=settings.seed,
         model_count=settings.model_count,
         feature_p=feature_p,
@@ -289,6 +286,12 @@ def run_solve(
         instance_desc = {"path": str(instance), "spec": spec.to_dict()}
     if settings.standardize:
         a = standardize_columns(a)
+    # the start's defaults, filled in once for the partition and the payload
+    settings = replace(
+        settings,
+        k0=settings.k0 if settings.k0 is not None else default_initial_cluster_count(a.rows),
+        feature_source=settings.feature_source or default_feature_source(settings.problem),
+    )
 
     start = time.perf_counter()
     if settings.problem == "hyperplane":
@@ -312,7 +315,7 @@ def run_solve(
     payload = {
         "problem": settings.problem,
         "instance": {"n": a.rows, "m": a.cols, **instance_desc},
-        "config": _config_payload(settings, a.rows),
+        "config": _config_payload(settings),
         "iterations": _report_iterations(report),
         "termination": report.termination,
         "converged": report.converged,
@@ -325,13 +328,12 @@ def run_solve(
     return _assemble_report(payload, wall, partition_s)
 
 
-def _config_payload(settings: RunSettings, n: int) -> dict:
-    k0 = settings.k0 if settings.k0 is not None else default_initial_cluster_count(n)
+def _config_payload(settings: RunSettings) -> dict:
     cfg = {
         "tol": settings.tol,
         "seed": settings.seed,
-        "k0": k0,
-        "feature_source": settings.feature_source or default_feature_source(settings.problem),
+        "k0": settings.k0,
+        "feature_source": settings.feature_source,
         "model_count": settings.model_count,
         "feature_p": settings.feature_p,
         "max_iters": settings.max_iters,
@@ -419,8 +421,15 @@ def seed_for(base_seed: int, cell_index: int, rep: int) -> int:
     return base_seed + 104_729 * cell_index + rep
 
 
-def _run_cell_rep(args) -> dict:
-    problem, cell, cell_index, rep, base_settings, base_seed, skip_direct = args
+def _run_cell_rep(
+    problem: str,
+    cell: dict,
+    cell_index: int,
+    rep: int,
+    base_settings: RunSettings,
+    base_seed: int,
+    skip_direct: bool,
+) -> dict:
     seed = seed_for(base_seed, cell_index, rep)
     row: dict[str, Any] = {
         "cell_index": cell_index,
@@ -514,28 +523,19 @@ def run_benchmark(
     reps: int,
     base_settings: RunSettings | None = None,
     base_seed: int = 0,
-    jobs: int = 1,
     skip_direct: bool = False,
 ) -> tuple[list[dict], list[dict]]:
-    """Run every (cell, repetition) pair; returns (rows, aggregate rows)."""
+    """Run every (cell, repetition) pair serially, in grid order; returns
+    (rows, aggregate rows)."""
     if not grid:
         raise ValueError("benchmark grid is empty")
     base_settings = base_settings or RunSettings(problem=problem)
     cells = expand_grid(grid)
-    tasks = [
-        (problem, cell, ci, rep, base_settings, base_seed, skip_direct)
+    rows = [
+        _run_cell_rep(problem, cell, ci, rep, base_settings, base_seed, skip_direct)
         for ci, cell in enumerate(cells)
         for rep in range(reps)
     ]
-    if jobs > 1:
-        # imported here: the process pool costs import time that only jobs > 1 uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell_rep, tasks))
-    else:
-        rows = [_run_cell_rep(t) for t in tasks]
-    rows.sort(key=lambda r: (r["cell_index"], r["rep"]))
     aggregates = []
     for ci in range(len(cells)):
         cell_rows = [r for r in rows if r["cell_index"] == ci]

@@ -153,7 +153,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         reps=args.reps,
         base_settings=settings,
         base_seed=args.seed,
-        jobs=args.jobs,
         skip_direct=args.no_direct,
     )
     out = Path(args.out) if args.out else _default_out("benchmark")
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--problem", choices=PROBLEM_IDS, required=True)
     bench.add_argument("--grid", required=True, help="grid JSON (inline or file path)")
     bench.add_argument("--reps", type=int, default=10)
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--no-direct", action="store_true", help="skip the direct baseline")
     bench.add_argument("--csv", action="store_true", help="also write results.csv")
     bench.add_argument("--out", default=None)

@@ -92,53 +92,25 @@ class ClusterPartition:
     Stored as arrays: ``labels()`` gives each row's cluster, numbered
     0..k-1 in cluster order; ``order`` lists the rows grouped by cluster,
     ascending within each, so cluster c is ``order[starts[c]:starts[c] +
-    sizes[c]]`` (``rows(c)``). The ``clusters`` tuple of row tuples is built
-    on first use. Partitions are compared by value: row count and clusters.
+    sizes[c]]`` (``rows(c)``). Partitions are compared by value: row count
+    and labels.
 
-    ``ClusterPartition(n, clusters)`` and ``from_labels`` validate their
-    input; ``decluster`` and ``refine`` build their partitions from labels
-    directly and record ``parent``: for each cluster, the index of the
-    cluster it came from in the partition they split (None elsewhere).
+    Partitions enter the library through ``from_labels``, which validates
+    its labels, and ``singletons``. The constructor trusts its input;
+    ``decluster`` and ``refine`` build their partitions with it and record
+    ``parent``: for each cluster, the index of the cluster it came from in
+    the partition they split (None elsewhere).
     """
 
-    __slots__ = ("n", "order", "starts", "sizes", "parent", "_labels", "_clusters")
+    __slots__ = ("n", "order", "starts", "sizes", "parent", "_labels")
 
-    def __init__(self, n: int, clusters: Sequence[Sequence[int]]):
-        clusters = tuple(tuple(int(i) for i in cluster) for cluster in clusters)
-        for k, cluster in enumerate(clusters):
-            if len(cluster) == 0:
-                raise PartitionError(f"cluster {k} is empty")
-            if list(cluster) != sorted(cluster):
-                raise PartitionError(f"cluster {k} indices are not sorted")
-        sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
-        rows = np.fromiter(
-            (i for cluster in clusters for i in cluster), dtype=np.int64, count=int(sizes.sum())
-        )
-        labels = np.full(n, -1, dtype=np.int64)
-        inside = rows.size == n and ((rows >= 0) & (rows < n)).all()
-        if inside:
-            labels[rows] = np.repeat(np.arange(len(clusters)), sizes)
-        if not inside or (labels < 0).any():
-            raise PartitionError(f"clusters do not partition 0..{n - 1} exactly")
-        self._index(labels, len(clusters))
-        self._clusters = clusters
-
-    @classmethod
-    def _indexed(
-        cls, labels: np.ndarray, count: int, parent=None, hint=None
-    ) -> "ClusterPartition":
-        """Unchecked constructor over labels that number ``count`` nonempty clusters.
+    def __init__(self, labels: np.ndarray, count: int, parent=None, hint=None):
+        """Index int64 ``labels`` that number ``count`` nonempty clusters 0..count-1.
 
         ``hint`` is a row order that lists each cluster's rows in ascending
         order, such as the order of the partition a split started from;
         sorting it by label is cheaper than a full sort.
         """
-        out = object.__new__(cls)
-        out._index(labels, count, parent, hint)
-        out._clusters = None
-        return out
-
-    def _index(self, labels, count, parent=None, hint=None) -> None:
         self.n = int(labels.size)
         self.parent = parent
         self._labels = labels
@@ -152,14 +124,6 @@ class ClusterPartition:
         self.starts = np.cumsum(self.sizes) - self.sizes
         for arr in (labels, self.order, self.sizes, self.starts):
             arr.flags.writeable = False
-
-    @property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        if self._clusters is None:
-            self._clusters = tuple(
-                tuple(self.rows(c).tolist()) for c in range(self.cluster_count)
-            )
-        return self._clusters
 
     @property
     def cluster_count(self) -> int:
@@ -196,7 +160,7 @@ class ClusterPartition:
 
     @staticmethod
     def singletons(n: int) -> "ClusterPartition":
-        return ClusterPartition._indexed(np.arange(n, dtype=np.int64), n)
+        return ClusterPartition(np.arange(n, dtype=np.int64), n)
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "ClusterPartition":
@@ -210,9 +174,9 @@ class ClusterPartition:
         if labels.size and labels.min() >= 0 and labels.max() < labels.size:
             # number the labels present in O(n), without sorting
             rank = np.cumsum(np.bincount(labels) > 0) - 1
-            return ClusterPartition._indexed(rank[labels], int(rank[-1]) + 1)
+            return ClusterPartition(rank[labels], int(rank[-1]) + 1)
         values, compact = np.unique(labels, return_inverse=True)
-        return ClusterPartition._indexed(compact.astype(np.int64, copy=False), values.size)
+        return ClusterPartition(compact.astype(np.int64, copy=False), values.size)
 
     def _split(self, split: np.ndarray, second: np.ndarray) -> "ClusterPartition":
         """Split every cluster flagged in ``split`` into two adjacent clusters.
@@ -224,9 +188,7 @@ class ClusterPartition:
         shift = np.cumsum(split) - split
         count = self.cluster_count + int(np.count_nonzero(split))
         parent = np.repeat(np.arange(self.cluster_count), 1 + split)
-        out = ClusterPartition._indexed(
-            labels + shift[labels] + second, count, parent, self.order
-        )
+        out = ClusterPartition(labels + shift[labels] + second, count, parent, self.order)
         if (out.sizes == 0).any():
             raise PartitionError("a split left a cluster empty")
         return out
@@ -332,11 +294,13 @@ class ProblemDefinition(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no upper bound")
 
-    def split_cluster(
-        self, a: np.ndarray, cluster: np.ndarray
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Split a cluster, given as ascending row indices, with a positive
-        bound term into two nonempty halves."""
+    def split_cluster(self, a: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+        """Split a cluster with a positive bound term into two nonempty halves.
+
+        ``cluster`` holds the cluster's ascending row indices as an int
+        array; returns the rows of the second half, an ascending int array
+        that is neither empty nor all of ``cluster``.
+        """
         raise NotImplementedError(f"{type(self).__name__} has no refinement split")
 
     def fits_budget(self, cluster_count: int, config: SolverConfig) -> bool:
@@ -462,14 +426,6 @@ def aggregate(
     return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
 
 
-def _residual(b: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-    """B - F, refusing a fit whose shape differs from the target's (which
-    numpy would otherwise broadcast)."""
-    if fitted.shape != b.shape:
-        raise PartitionError(f"fit has shape {fitted.shape}, target has {b.shape}")
-    return b - fitted
-
-
 def residual_signs(
     residual: np.ndarray, eps_sign: float | np.ndarray = DEFAULT_EPS_SIGN
 ) -> np.ndarray:
@@ -510,52 +466,46 @@ def _codes(negative: np.ndarray) -> np.ndarray:
 
 
 def check_optimality(
-    b: np.ndarray,
-    a: np.ndarray,
-    problem: ProblemDefinition,
-    solution,
+    residual: np.ndarray,
     partition: ClusterPartition,
     eps_sign: float | np.ndarray = DEFAULT_EPS_SIGN,
-    residual: np.ndarray | None = None,
-) -> tuple[bool, list[int], np.ndarray]:
+) -> tuple[bool, np.ndarray, np.ndarray]:
     """Test whether every cluster's rows share one residual sign pattern.
 
-    ``residual`` is ``b - problem.apply_f(solution, a)`` when the caller
-    already has it; otherwise it is evaluated here. Returns the verdict, the
-    indices of clusters with two or more distinct patterns, and each row's
-    ``sign_codes`` value of its ``residual_signs`` pattern, with ``eps_sign``
-    its zero band (a scalar, or one band per residual entry). A cluster
-    disagrees exactly when the smallest and largest codes of its rows differ.
+    ``residual`` is the (n, q) B - F of the fit being checked. Returns the
+    verdict, the ascending int array of clusters with two or more distinct
+    patterns, and each row's ``sign_codes`` value of its ``residual_signs``
+    pattern, with ``eps_sign`` its zero band (a scalar, or one band per
+    residual entry). A cluster disagrees exactly when the smallest and
+    largest codes of its rows differ.
     """
-    if residual is None:
-        residual = _residual(b, problem.apply_f(solution, a))
     codes = _codes(_negative(residual, eps_sign))
     ordered = codes[partition.order]
     low = np.minimum.reduceat(ordered, partition.starts)
     high = np.maximum.reduceat(ordered, partition.starts)
-    violating = np.flatnonzero(low != high).tolist()
-    return (len(violating) == 0), violating, codes
+    violating = np.flatnonzero(low != high)
+    return violating.size == 0, violating, codes
 
 
 def decluster(
     partition: ClusterPartition,
     codes: np.ndarray,
-    violating: Sequence[int],
+    violating: np.ndarray,
 ) -> ClusterPartition:
     """Split each violating cluster into its mode-pattern rows and the rest.
 
-    ``codes`` holds each row's ``sign_codes`` value, as ``check_optimality``
-    returns them. A cluster's mode is its most common pattern, the smallest
-    code on a tie (+1 before -1, first column first). The mode rows take
-    the cluster's slot and the rest follow right after it; other clusters
-    are copied unchanged and move right to make room.
+    ``codes`` holds each row's ``sign_codes`` value and ``violating`` the
+    int array of clusters to split, as ``check_optimality`` returns them.
+    A cluster's mode is its most common pattern, the smallest code on a tie
+    (+1 before -1, first column first). The mode rows take the cluster's
+    slot and the rest follow right after it; other clusters are copied
+    unchanged and move right to make room.
     """
     k = partition.cluster_count
-    index = np.asarray(violating, dtype=np.int64)
-    if index.size and (index.min() < 0 or index.max() >= k):
+    if violating.size and (violating.min() < 0 or violating.max() >= k):
         raise DeclusterError("violating indices outside the cluster range")
     split = np.zeros(k, dtype=bool)
-    split[index] = True
+    split[violating] = True
     codes = np.asarray(codes, dtype=np.int64)
     labels = partition.labels()
     width = int(codes.max(initial=0)) + 1
@@ -574,14 +524,13 @@ def refine(
 ) -> ClusterPartition:
     """Split every cluster with a positive bound term in two, in place.
 
-    The halves come from ``problem.split_cluster``. Other clusters are
-    copied unchanged.
+    ``problem.split_cluster`` names each one's second half. Other clusters
+    are copied unchanged.
     """
     split = np.asarray(terms) > 0.0
     second = np.zeros(partition.n, dtype=bool)
     for c in np.flatnonzero(split).tolist():
-        _, rest = problem.split_cluster(a, partition.rows(c))
-        second[list(rest)] = True
+        second[problem.split_cluster(a, partition.rows(c))] = True
     return partition._split(split, second)
 
 
@@ -699,7 +648,9 @@ def run_aid(
         solution = problem.solve_weighted(agg, config.solver, prior=prior)
         bound = float(solution.objective) - float(getattr(solution, "certified_gap", 0.0))
         fitted = problem.apply_f(solution, a)
-        residual = _residual(b, fitted)
+        if fitted.shape != b.shape:  # numpy would broadcast B - F
+            raise PartitionError(f"fit has shape {fitted.shape}, target has {b.shape}")
+        residual = b - fitted
         objective = float(np.abs(residual).sum())
         if flip * objective < best_internal:
             best_internal = flip * objective
@@ -722,9 +673,7 @@ def run_aid(
             )
         )
         band = DEFAULT_EPS_SIGN * (abs_b + np.abs(fitted))
-        satisfied, violating, codes = check_optimality(
-            b, a, problem, solution, partition, band, residual=residual
-        )
+        satisfied, violating, codes = check_optimality(residual, partition, band)
         if satisfied and partition.cluster_count == n:
             termination = "fully_disaggregated"
             break

@@ -65,12 +65,16 @@ __all__ = [
 ]
 
 
-# The stack saves numpy's per-call cost on every LP but one, but sorts all
-# of an LP's columns where ``primal_simplex`` sorts only the ratio-test
+# The stack pays numpy's per-call cost once per step for all its LPs, but a
+# step makes more numpy calls than a ``primal_simplex`` step, and its ratio
+# test sorts all of an LP's columns where ``primal_simplex`` sorts only the
 # candidates. Timed on m = 6, p = 2 supports (2-core host, one BLAS
 # thread), it was faster for 5 or more LPs of up to 256 columns, and slower
-# for 2 LPs at any width and for 15 LPs past about 1,000 columns (1.8x at
-# 5,000).
+# for 2 LPs at any width and for 15 LPs past about 1,000 columns (1.7x at
+# 5,000, where the sort is 43 % of its time). One LP of 22-169 columns, as
+# the lad-tall and subset-paper pools solve singly, takes it 2.3x as long,
+# with the sort 2 % of that: the minimum answers the extra calls per step,
+# the width limit the sort.
 STACK_MIN_LPS = 5
 STACK_MAX_COLUMNS = 256
 

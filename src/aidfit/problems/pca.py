@@ -253,30 +253,28 @@ def spread_bound_terms(
     return terms
 
 
-def principal_halves(
-    a: np.ndarray, cluster: np.ndarray
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def principal_halves(a: np.ndarray, cluster: np.ndarray) -> np.ndarray:
     """Split a cluster by the sign of its centred rows' top principal projection.
 
-    ``cluster`` holds the ascending row indices as an int array (any
-    sequence of ints works); each half comes back as an ascending tuple.
+    ``cluster`` holds the ascending row indices as an int array; the rows
+    of the second half come back as an ascending int array.
 
     The top right singular vector v of the centred rows is signed so that
     its largest-magnitude entry (the first, on ties) is positive; rows with
-    a positive projection on v come first, the rest (zero included) second.
+    a positive projection on v form the first half, the rest (zero
+    included) the second.
     The projections sum to zero, so both halves are nonempty unless the
     rows differ only by rounding; then the first row is split off.
     """
-    idx = np.asarray(cluster)
-    rows = np.take(a, idx, axis=0)
+    rows = np.take(a, cluster, axis=0)
     centred = rows - rows.mean(axis=0)
     v = np.linalg.svd(centred, full_matrices=False)[2][0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     upper = centred @ v > 0.0
     if upper.all() or not upper.any():
-        upper = np.arange(idx.size) == 0
-    return tuple(idx[upper].tolist()), tuple(idx[~upper].tolist())
+        upper = np.arange(cluster.size) == 0
+    return cluster[~upper]
 
 
 def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = SolverConfig.pca_cap) -> PcaSolution:

@@ -27,9 +27,12 @@ same bits, whatever their start.
 
 ``lockstep_dual_simplex`` runs the same method on a stack of small LPs of
 one shape, one numpy call per step for the whole stack, and returns what
-``primal_simplex`` returns on each LP, bit for bit. It saves numpy's
-per-call cost, but its ratio test sorts every column, not only the
-candidates, so it pays only for several narrow LPs; ``lad`` sets the limits.
+``primal_simplex`` returns on each LP, bit for bit. It shares numpy's
+per-call cost among the LPs, but each step makes more numpy calls than one
+LP's step, and its ratio test sorts every column, not only the candidates.
+On few LPs the extra calls cost more than the sharing saves, and on wide
+LPs the sort does, so it pays only for several narrow LPs; ``lad`` sets the
+limits.
 
 Tolerances are absolute: an entry of magnitude at most ``PIVOT_TOL`` is not
 a ratio-test candidate, and a basic value counts as within its bounds up

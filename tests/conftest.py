@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from aidfit.core import AggregatedInstance
+from aidfit.core import AggregatedInstance, ClusterPartition
 from aidfit.linalg import DataMatrix
 
 
@@ -16,6 +16,20 @@ def make_agg(b, a, weights=None) -> AggregatedInstance:
     if weights is None:
         weights = np.ones(a.shape[0])
     return AggregatedInstance(B_agg=b, A_agg=a, weights=np.asarray(weights, dtype=np.int64))
+
+
+def clusters_of(part: ClusterPartition) -> list[np.ndarray]:
+    """Each cluster's ascending rows, in cluster order: the form the
+    grouping oracles take."""
+    return [part.rows(c) for c in range(part.cluster_count)]
+
+
+def partition_of(n: int, clusters) -> ClusterPartition:
+    """The partition of n rows whose k-th cluster holds the rows ``clusters[k]``."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for k, rows in enumerate(clusters):
+        labels[list(rows)] = k
+    return ClusterPartition.from_labels(labels)
 
 
 def subset_instance(rng, n, m, kind):

@@ -253,38 +253,6 @@ class TestBenchmark:
         seeds = {seed_for(0, ci, rep) for ci in range(20) for rep in range(50)}
         assert len(seeds) == 20 * 50
 
-    def test_import_leaves_process_pool_unloaded(self):
-        # only jobs > 1 needs the process pool, so importing the module
-        # must not pay for it
-        src = Path(aidfit.__file__).resolve().parent.parent
-        code = "import sys, aidfit.bench; print('concurrent.futures.process' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_parallel_matches_serial(self):
-        grid = {"n": [20, 30], "m": [2]}
-        serial_rows, serial_agg = run_benchmark("lad", grid, reps=2, base_seed=3)
-        par_rows, par_agg = run_benchmark("lad", grid, reps=2, base_seed=3, jobs=2)
-
-        def strip_times(rows):
-            out = []
-            for r in rows:
-                r = json.loads(json.dumps(r))
-                for side in ("direct", "aid"):
-                    if r.get(side):
-                        r[side].pop("wall_time_s", None)
-                        r[side].pop("partition_s", None)
-                r.pop("rho", None)
-                for key in [k for k in r if "wall_time" in k or k == "mean_rho"]:
-                    r.pop(key)
-                out.append(r)
-            return out
-
-        assert strip_times(serial_rows) == strip_times(par_rows)
-
     def test_skip_direct(self):
         rows, _ = run_benchmark(
             "lad", {"n": [20], "m": [2]}, reps=1, skip_direct=True

@@ -29,12 +29,12 @@ class TestKmeansOnePass:
         feats = DataMatrix(rng.standard_normal((8, 2)))
         part = kmeans_one_pass(feats, k=8, seed=0)
         assert part.cluster_count == 8
-        assert all(len(c) == 1 for c in part.clusters)
+        assert np.array_equal(part.sizes, np.ones(8))
 
     def test_k_one_single_cluster(self, rng):
         feats = DataMatrix(rng.standard_normal((6, 3)))
         part = kmeans_one_pass(feats, k=1, seed=0)
-        assert part.clusters == (tuple(range(6)),)
+        assert part == ClusterPartition.from_labels([0] * 6)
 
     def test_assignment_matches_nearest_center_scan(self, rng):
         feats = rng.standard_normal((20, 2))
@@ -42,12 +42,8 @@ class TestKmeansOnePass:
         part = kmeans_one_pass(DataMatrix(feats), k=4, seed=seed)
         centers = feats[np.random.default_rng(seed).choice(20, size=4, replace=False)]
         ref = nearest_center_labels(feats, centers)
-        # map reference labels to surviving cluster ids by grouping
-        groups = {}
-        for i, lab in enumerate(ref):
-            groups.setdefault(lab, []).append(i)
-        expected = tuple(tuple(groups[k]) for k in sorted(groups))
-        assert part.clusters == expected
+        # surviving clusters keep the order of their centers
+        assert part == ClusterPartition.from_labels(ref)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -297,7 +293,7 @@ class TestBuildInitialPartition:
             cfg = InitialClusterConfig(4, source, seed=2)
             part = build_initial_partition(b, a, cfg)
             assert 1 <= part.cluster_count <= 4
-            assert sorted(i for c in part.clusters for i in c) == list(range(20))
+            assert part.n == 20 and part.sizes.sum() == 20 and (part.sizes > 0).all()
 
     def test_residuals_require_targets(self, rng):
         a = DataMatrix(rng.standard_normal((10, 2)))

@@ -39,7 +39,7 @@ from aidfit.problems import (
     SubsetSelectionProblem,
     solve_weighted_lad,
 )
-from conftest import make_agg
+from conftest import clusters_of, make_agg, partition_of
 from oracles import (
     cluster_means,
     counter_decluster,
@@ -56,21 +56,11 @@ def random_partition(rng, n, k) -> ClusterPartition:
 
 
 class TestClusterPartition:
-    def test_rejects_empty_cluster(self):
-        with pytest.raises(PartitionError):
-            ClusterPartition(n=2, clusters=((0, 1), ()))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(PartitionError):
-            ClusterPartition(n=3, clusters=((0, 1), (1, 2)))
-
-    def test_rejects_missing_index(self):
-        with pytest.raises(PartitionError):
-            ClusterPartition(n=3, clusters=((0, 1),))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(PartitionError):
-            ClusterPartition(n=2, clusters=((1, 0),))
+    def test_from_labels_rejects_non_vector_labels(self):
+        with pytest.raises(PartitionError, match="one-dimensional"):
+            ClusterPartition.from_labels([[0, 1], [1, 0]])
+        with pytest.raises(PartitionError, match="one-dimensional"):
+            ClusterPartition.from_labels(3)
 
     def test_singletons(self):
         p = ClusterPartition.singletons(4)
@@ -82,7 +72,8 @@ class TestClusterPartition:
     def test_from_labels_always_valid(self, n, k, seed):
         rng = np.random.default_rng(seed)
         p = random_partition(rng, n, min(k, n))
-        assert sorted(i for c in p.clusters for i in c) == list(range(n))
+        assert sorted(np.concatenate(clusters_of(p)).tolist()) == list(range(n))
+        assert all(np.all(np.diff(rows) > 0) for rows in clusters_of(p))
 
     @pytest.mark.parametrize("n, count", [(1, 1), (500, 7), (10_000, 150), (70_000, 70_000)])
     def test_linear_index_matches_unique_and_stable_argsort(self, n, count):
@@ -99,14 +90,14 @@ class TestClusterPartition:
         shifted = ClusterPartition.from_labels(raw - n)
         assert shifted == part
         assert np.array_equal(shifted.order, part.order)
-        assert ClusterPartition(n, part.clusters) == part
+        assert partition_of(n, clusters_of(part)) == part
 
 
 class TestAggregate:
     def test_mean_of_two_rows(self):
         b = np.array([[1.0, 3.0], [5.0, 7.0]])
         a = np.array([[0.0], [2.0]])
-        agg = aggregate(b, a, ClusterPartition(n=2, clusters=((0, 1),)))
+        agg = aggregate(b, a, ClusterPartition.from_labels([0, 0]))
         assert agg.B_agg.tolist() == [[3.0, 5.0]]
         assert agg.A_agg.tolist() == [[1.0]]
         assert np.array_equal(agg.weights, [2])
@@ -124,8 +115,8 @@ class TestAggregate:
         a = rng.standard_normal((10, 2))
         part = random_partition(rng, 10, 3)
         agg = aggregate(b, a, part)
-        ref_b = cluster_means(b, part.clusters)
-        ref_a = cluster_means(a, part.clusters)
+        ref_b = cluster_means(b, clusters_of(part))
+        ref_a = cluster_means(a, clusters_of(part))
         assert np.abs(agg.B_agg - ref_b).max() <= 1e-12
         assert np.abs(agg.A_agg - ref_a).max() <= 1e-12
         assert agg.weights.sum() == 10
@@ -172,24 +163,18 @@ class TestCheckOptimality:
         b = a @ np.array([1.0, 2.0]) + 1.0  # all residuals +1 at the true coefficients
         prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": np.array([1.0, 2.0]), "objective": 6.0})()
-        ok, violating, codes = check_optimality(
-            b.reshape(-1, 1),
-            a,
-            prob,
-            sol,
-            ClusterPartition(n=6, clusters=(tuple(range(6)),)),
-        )
-        assert ok and violating == [] and codes.tolist() == [0] * 6
+        residual = b.reshape(-1, 1) - prob.apply_f(sol, a)
+        ok, violating, codes = check_optimality(residual, ClusterPartition.from_labels([0] * 6))
+        assert ok and violating.tolist() == [] and codes.tolist() == [0] * 6
 
     def test_mixed_cluster_detected(self):
         b = np.array([[1.0], [-1.0]])
         a = np.array([[1.0], [1.0]])
         prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": np.array([0.0]), "objective": 2.0})()
-        ok, violating, _ = check_optimality(
-            b, a, prob, sol, ClusterPartition(n=2, clusters=((0, 1),))
-        )
-        assert not ok and violating == [0]
+        residual = b - prob.apply_f(sol, a)
+        ok, violating, _ = check_optimality(residual, ClusterPartition.from_labels([0, 0]))
+        assert not ok and violating.tolist() == [0]
 
     def test_matches_grouping_oracle(self, rng):
         n = 20
@@ -198,14 +183,17 @@ class TestCheckOptimality:
         part = random_partition(rng, n, 5)
         prob = LadRegressionProblem()
         sol = type("S", (), {"coefficients": rng.standard_normal(2), "objective": 0.0})()
-        ok, violating, codes = check_optimality(b, a, prob, sol, part)
-        signs = residual_signs(b - prob.apply_f(sol, a))
+        residual = b - prob.apply_f(sol, a)
+        ok, violating, codes = check_optimality(residual, part)
+        signs = residual_signs(residual)
         assert np.array_equal(codes, sign_codes(signs))
-        ref = pattern_group_check(signs, part.clusters)
-        assert violating == ref
+        ref = pattern_group_check(signs, clusters_of(part))
+        assert violating.dtype == np.int64 and violating.tolist() == ref
         assert ok == (len(ref) == 0)
 
     def test_given_residual_matches_evaluation(self, rng):
+        # the codes and the verdict are those of the residual's own signs,
+        # whatever the zero band
         n = 30
         a = rng.standard_normal((n, 3))
         b = rng.standard_normal((n, 1))
@@ -214,25 +202,26 @@ class TestCheckOptimality:
         sol = type("S", (), {"coefficients": rng.standard_normal(3), "objective": 0.0})()
         residual = b - prob.apply_f(sol, a)
         for eps_sign in (0.0, 1e-9, 0.5):
-            ok, violating, codes = check_optimality(b, a, prob, sol, part, eps_sign)
-            given = check_optimality(b, a, None, None, part, eps_sign, residual=residual)
-            assert given[0] == ok and given[1] == violating
-            assert np.array_equal(given[2], codes)
+            ok, violating, codes = check_optimality(residual, part, eps_sign)
+            signs = residual_signs(residual, eps_sign)
+            assert np.array_equal(codes, sign_codes(signs))
+            assert violating.tolist() == pattern_group_check(signs, clusters_of(part))
+            assert ok == (violating.size == 0)
 
 
 class TestDecluster:
     def test_traced_split(self):
         # patterns: rows 0..3 -> (+,+), (+,-), (+,-), (-,+); mode is (+,-)
         signs = [(1, 1), (1, -1), (1, -1), (-1, 1)]
-        part = ClusterPartition(n=4, clusters=((0, 1, 2, 3),))
-        out = decluster(part, sign_codes(signs), [0])
-        assert out.clusters == ((1, 2), (0, 3))
-        assert out == ClusterPartition(n=4, clusters=((1, 2), (0, 3)))
+        part = ClusterPartition.from_labels([0] * 4)
+        out = decluster(part, sign_codes(signs), np.array([0]))
+        assert out == ClusterPartition.from_labels([1, 0, 0, 1])
+        assert out.rows(0).tolist() == [1, 2] and out.rows(1).tolist() == [0, 3]
 
     def test_no_violators_is_noop(self):
-        part = ClusterPartition(n=3, clusters=((0, 1), (2,)))
-        out = decluster(part, sign_codes([(1,), (1,), (1,)]), [])
-        assert out.clusters == part.clusters
+        part = ClusterPartition.from_labels([0, 0, 1])
+        out = decluster(part, sign_codes([(1,), (1,), (1,)]), np.array([], dtype=np.int64))
+        assert np.array_equal(out.order, part.order)
         assert out == part and hash(out) == hash(part)
 
     def test_tie_break_exhaustive_two_pattern_ties(self):
@@ -242,21 +231,21 @@ class TestDecluster:
         for i in range(4):
             for j in range(i + 1, 4):
                 signs = [patterns[i], patterns[j], patterns[i], patterns[j]]
-                part = ClusterPartition(n=4, clusters=((0, 1, 2, 3),))
-                out = decluster(part, sign_codes(signs), [0])
+                part = ClusterPartition.from_labels([0] * 4)
+                out = decluster(part, sign_codes(signs), np.array([0]))
                 mode = patterns[min(i, j, key=lambda t: order[patterns[t]])]
-                mode_rows = tuple(k for k in range(4) if signs[k] == mode)
-                assert out.clusters[0] == mode_rows
+                mode_rows = [k for k in range(4) if signs[k] == mode]
+                assert out.rows(0).tolist() == mode_rows
 
     def test_single_pattern_violator_rejected(self):
-        part = ClusterPartition(n=2, clusters=((0, 1),))
+        part = ClusterPartition.from_labels([0, 0])
         with pytest.raises(DeclusterError):
-            decluster(part, sign_codes([(1,), (1,)]), [0])
+            decluster(part, sign_codes([(1,), (1,)]), np.array([0]))
 
     def test_bad_cluster_index_rejected(self):
-        part = ClusterPartition(n=2, clusters=((0, 1),))
+        part = ClusterPartition.from_labels([0, 0])
         with pytest.raises(DeclusterError):
-            decluster(part, sign_codes([(1,), (-1,)]), [3])
+            decluster(part, sign_codes([(1,), (-1,)]), np.array([3]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 9999))
@@ -264,9 +253,9 @@ class TestDecluster:
         rng = np.random.default_rng(seed)
         part = random_partition(rng, n, max(1, n // 4))
         signs = [tuple(1 if v else -1 for v in rng.integers(0, 2, 2)) for _ in range(n)]
-        violating = pattern_group_check(signs, part.clusters)
+        violating = np.array(pattern_group_check(signs, clusters_of(part)), dtype=np.int64)
         out = decluster(part, sign_codes(signs), violating)
-        assert sorted(i for c in out.clusters for i in c) == list(range(n))
+        assert sorted(np.concatenate(clusters_of(out)).tolist()) == list(range(n))
         assert out.cluster_count == part.cluster_count + len(violating)
         assert out.cluster_count <= 2 * part.cluster_count
 
@@ -281,7 +270,7 @@ def labelled_signs(draw):
 
 
 class TestArrayPath:
-    """check_optimality, decluster and aggregate against tuple-based references."""
+    """check_optimality, decluster and aggregate against the loop-based oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(labelled_signs())
@@ -294,21 +283,21 @@ class TestArrayPath:
         part = ClusterPartition.from_labels(labels)
         b = np.array(signs, dtype=float)
         a = np.sin(np.arange(3.0 * n)).reshape(n, 3)
-        ok, violating, codes = check_optimality(
-            b, a, None, None, part, eps_sign=0.0, residual=b
-        )
+        ok, violating, codes = check_optimality(b, part, eps_sign=0.0)
         assert np.array_equal(codes, sign_codes(signs))
-        assert violating == pattern_group_check(signs, part.clusters)
-        assert ok == (violating == [])
+        assert violating.tolist() == pattern_group_check(signs, clusters_of(part))
+        assert ok == (violating.size == 0)
 
         out = decluster(part, codes, violating)
-        expected = counter_decluster(signs, part.clusters, violating)
-        assert out.clusters == expected
-        assert out == ClusterPartition(n, expected)
+        expected = partition_of(n, counter_decluster(signs, clusters_of(part), violating))
+        assert out == expected
+        assert [rows.tolist() for rows in clusters_of(out)] == [
+            rows.tolist() for rows in clusters_of(expected)
+        ]
 
         # means of the clusters a split kept are reused bit for bit
         reused = aggregate(b, a, out, previous=aggregate(b, a, part))
-        fresh = aggregate(b, a, ClusterPartition(n, expected))
+        fresh = aggregate(b, a, expected)
         assert np.array_equal(reused.B_agg, fresh.B_agg)
         assert np.array_equal(reused.A_agg, fresh.A_agg)
         assert np.array_equal(reused.weights, fresh.weights)
@@ -453,7 +442,7 @@ class TestRunAid:
 
     def test_iteration_limit_carries_partial_report(self, rng):
         b, a = lad_instance(rng, n=60, m=3)
-        part = ClusterPartition(n=60, clusters=(tuple(range(60)),))
+        part = ClusterPartition.from_labels([0] * 60)
         with pytest.raises(IterationLimitError) as err:
             run_aid(b, a, LadRegressionProblem(), part, AidConfig(max_iters=1))
         assert err.value.report.termination == "iteration_limit"
@@ -567,8 +556,9 @@ class TestRunAidMaximize:
         assert not report.certified_optimal
         assert [count for count, _ in prob.calls] == [2]
         assert report.solution is prob.calls[-1][1]
-        ok, violating, _ = check_optimality(b.values, a.values, prob, report.solution, part)
-        assert not ok and violating == [0, 1]
+        residual = b.values - prob.apply_f(report.solution, a.values)
+        ok, violating, _ = check_optimality(residual, part)
+        assert not ok and violating.tolist() == [0, 1]
         assert report.iterations[-1].upper_bound >= l1pca_enumeration_oracle(a.values, 1) - 1e-9
         validate_report(report, tol=0.0)
 
@@ -586,13 +576,9 @@ class TestRunAidMaximize:
             assert all(r.upper_bound >= optimum - 1e-9 for r in report.iterations)
             validate_report(report, tol=0.0)
 
-    def test_loop_reads_clusters_as_arrays(self, rng, monkeypatch):
-        # bound terms, refinement and disagreement splits all work on the
-        # label arrays; the tuple-of-tuples view is never built
-        def no_tuple_view(self):
-            raise AssertionError("the maximize loop built the clusters tuple view")
-
-        monkeypatch.setattr(ClusterPartition, "clusters", property(no_tuple_view))
+    def test_loop_reads_clusters_as_arrays(self, rng):
+        # bound terms, refinement and disagreement splits all run on the
+        # label arrays, the halves of a refined cluster included
         a = DataMatrix(rng.standard_normal((8, 3)))
         prob = PcaProjectionProblem(2)
         part = ClusterPartition.from_labels([0, 1] * 4)
@@ -610,13 +596,15 @@ class TestRunAidMaximize:
         assert report.certified_optimal
 
     def test_refine_splits_only_positive_terms(self, rng):
-        a, part = two_blob_pca(rng)
-        prob = PcaProjectionProblem(1)
-        out = refine(a.values, prob, part, np.array([1.0, 0.0]))
-        assert out.cluster_count == 3
-        assert sorted(i for c in out.clusters for i in c) == list(range(part.n))
-        assert out.clusters[2] == part.clusters[1]
-        assert sorted(out.clusters[0] + out.clusters[1]) == list(part.clusters[0])
+        # cluster 0 lies on a line through its mean, so its principal halves
+        # are known: the rows right of the mean first, the rest second
+        offsets = np.array([-1.0, 1.0, -2.0, 2.0, -3.0, 3.0])
+        line = np.column_stack([5.0 + offsets, np.zeros(6)])
+        a = np.vstack([line, rng.standard_normal((6, 2))])
+        part = ClusterPartition.from_labels([0] * 6 + [1] * 6)
+        out = refine(a, PcaProjectionProblem(1), part, np.array([1.0, 0.0]))
+        assert out == ClusterPartition.from_labels([1, 0, 1, 0, 1, 0] + [2] * 6)
+        assert out.parent.tolist() == [0, 0, 1]
 
     def test_validate_report_checks_upper_bound(self, rng):
         a = DataMatrix(rng.standard_normal((8, 3)))
@@ -643,8 +631,8 @@ class TestAveragingCommutation:
 
     def _averaging_matrix(self, part: ClusterPartition) -> np.ndarray:
         w = np.zeros((part.cluster_count, part.n))
-        for k, cluster in enumerate(part.clusters):
-            w[k, list(cluster)] = 1.0 / len(cluster)
+        for k, cluster in enumerate(clusters_of(part)):
+            w[k, cluster] = 1.0 / len(cluster)
         return w
 
     @pytest.mark.parametrize("problem_name", ["lad", "subset", "sphere", "pca"])

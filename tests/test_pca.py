@@ -330,9 +330,9 @@ class TestUpperBound:
     def test_terms_vanish_exactly_on_identical_rows(self, rng):
         row = rng.standard_normal(3) / 3.0
         a = np.vstack([np.tile(row, (5, 1)), rng.standard_normal((2, 3))])
-        terms = spread_bound_terms(a, ClusterPartition(7, ((0, 1, 2, 3, 4), (5,), (6,))), 2)
+        terms = spread_bound_terms(a, ClusterPartition.from_labels([0] * 5 + [1, 2]), 2)
         assert terms.tolist() == [0.0, 0.0, 0.0]
-        assert spread_bound_terms(a, ClusterPartition(7, ((0, 1, 2, 3, 4, 5), (6,))), 1)[0] > 0.0
+        assert spread_bound_terms(a, ClusterPartition.from_labels([0] * 6 + [1]), 1)[0] > 0.0
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_terms_match_per_cluster_svd(self, rng, p):
@@ -435,18 +435,18 @@ class TestPrincipalHalves:
                 # duplicated rows and ties on the projection
                 a[rng.integers(n, size=n // 2)] = a[0]
             size = int(rng.integers(2, n + 1))
-            cluster = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-            if (a[list(cluster)] == a[cluster[0]]).all():
+            cluster = np.sort(rng.choice(n, size=size, replace=False))
+            if (a[cluster] == a[cluster[0]]).all():
                 continue
-            first, second = principal_halves(a, cluster)
-            assert first and second
-            assert list(first) == sorted(first) and list(second) == sorted(second)
-            assert sorted(first + second) == list(cluster)
-            assert principal_halves(a.copy(), cluster) == (first, second)
+            second = principal_halves(a, cluster)
+            assert second.dtype == np.int64 and 0 < second.size < cluster.size
+            assert (np.diff(second) > 0).all() and np.isin(second, cluster).all()
+            assert np.array_equal(principal_halves(a.copy(), cluster), second)
 
     def test_split_follows_the_leading_direction(self):
         # rows spread along the first axis: the rows with the larger first
         # coordinate form the first half, whatever sign the SVD returns
         a = np.array([[-3.0, 0.1], [-1.0, -0.1], [2.0, 0.0], [4.0, 0.2]])
-        assert principal_halves(a, (0, 1, 2, 3)) == ((2, 3), (0, 1))
-        assert principal_halves(-a, (0, 1, 2, 3)) == ((0, 1), (2, 3))
+        rows = np.arange(4)
+        assert principal_halves(a, rows).tolist() == [0, 1]
+        assert principal_halves(-a, rows).tolist() == [2, 3]
