@@ -2,7 +2,11 @@
 """Run the benchmark on two checkouts in alternation and print each arm's medians.
 
     python3 scripts/bench_pairs.py OLD NEW --workload lad-tall --pairs 5 --seconds 30
+    python3 scripts/bench_pairs.py OLD NEW --workload lad-tall,subset-paper,l1pca-enum
 
+``--workload`` takes one workload or a comma-separated list; the script
+runs all pairs of one workload before the next and prints everything below
+once per workload, so one command gives a record of several workloads.
 Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0`` once in each checkout, one after the other; the arm that goes
 first alternates from pair to pair, so neither always runs on a machine the
@@ -154,44 +158,61 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", type=Path, help="checkout of the baseline")
-    parser.add_argument("new", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args()
-    arms = {"old": args.old.resolve(), "new": args.new.resolve()}
-    for path in arms.values():
-        if not (path / "perfbench" / "run.py").is_file():
-            parser.error(f"{path} has no perfbench/run.py")
-
+def run_pairs(arms: dict[str, Path], workload: str, pairs: int, seconds: float,
+              seed: int) -> dict[str, list[dict]]:
+    """Run ``pairs`` alternating pairs of one workload; print a line per run."""
     runs: dict[str, list[dict]] = {"old": [], "new": []}
-    print("pair arm " + " ".join(FIELDS) + " failed")
-    for i in range(args.pairs):
+    print(f"# {workload}\npair arm " + " ".join(FIELDS) + " failed")
+    for i in range(pairs):
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         for arm in order:
-            r = run_once(arms[arm], args.workload, args.seed + i, args.seconds)
+            r = run_once(arms[arm], workload, seed + i, seconds)
             runs[arm].append(r)
             print(f"{i} {arm} " + " ".join(f"{r[f]:.6g}" for f in FIELDS) + f" {r['failed']}",
                   flush=True)
+    return runs
 
-    print(f"# {args.workload}: medians over {args.pairs} pairs of {args.seconds:g} s runs")
+
+def summary_lines(workload: str, runs: dict[str, list[dict]], seconds: float,
+                  declared: list[dict]) -> list[str]:
+    """One workload's block: per-arm medians and quartiles, ``setup_s`` runs,
+    a verdict per end-to-end metric and raw wall time, and the normalizer."""
+    pairs = len(runs["old"])
+    lines = [f"# {workload}: medians over {pairs} pairs of {seconds:g} s runs"]
     for arm, rs in runs.items():
         medians = " ".join(f"{f} {statistics.median(r[f] for r in rs):.6g}" for f in FIELDS)
         p50 = [r["solve_s_p50"] for r in rs]
         quartiles = statistics.quantiles(p50, n=4) if len(p50) > 1 else [p50[0]] * 3
-        print(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
+        lines.append(f"{arm} {medians} solve_s_p50_quartiles {quartiles[0]:.6g} {quartiles[2]:.6g}")
     for arm, rs in runs.items():
         setups = sorted(r["setup_s"] for r in rs)
-        print(f"{arm} setup_s runs " + " ".join(f"{v:.6g}" for v in setups))
-    declared = json.loads((arms["new"] / "BENCHMARK.json").read_text())["end_to_end"]
-    for line in verdict_lines(runs, declared):
-        print(line)
+        lines.append(f"{arm} setup_s runs " + " ".join(f"{v:.6g}" for v in setups))
+    lines += verdict_lines(runs, declared)
     solve_bound = next(m["bound"] for m in declared if m["name"] == "solve_s_p50")
-    print(normalizer_line(runs, solve_bound))
+    lines.append(normalizer_line(runs, solve_bound))
+    return lines
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="checkout of the baseline")
+    parser.add_argument("new", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="one workload or a comma-separated list")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    arms = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for path in arms.values():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"{path} has no perfbench/run.py")
+    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+    if not workloads:
+        parser.error("--workload names no workload")
+    declared = json.loads((arms["new"] / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload in workloads:
+        runs = run_pairs(arms, workload, args.pairs, args.seconds, args.seed)
+        print("\n".join(summary_lines(workload, runs, args.seconds, declared)), flush=True)
 
 
 if __name__ == "__main__":

@@ -89,40 +89,32 @@ class IterationLimitError(RuntimeError):
 class ClusterPartition:
     """Exact partition of row indices 0..n-1 into nonempty clusters.
 
-    Stored as arrays: ``labels()`` gives each row's cluster, numbered
-    0..k-1 in cluster order; ``order`` lists the rows grouped by cluster,
-    ascending within each, so cluster c is ``order[starts[c]:starts[c] +
-    sizes[c]]`` (``rows(c)``). Partitions are compared by value: row count
-    and labels.
+    Stored as arrays: ``order`` lists the rows grouped by cluster, ascending
+    within each, so cluster c is the segment ``order[starts[c]:starts[c] +
+    sizes[c]]`` (``rows(c)``). ``labels()`` derives each row's cluster,
+    numbered 0..k-1 in cluster order, on first use. Partitions are compared
+    by value: row count and clusters.
 
     Partitions enter the library through ``from_labels``, which validates
-    its labels, and ``singletons``. The constructor trusts its input;
-    ``decluster`` and ``refine`` build their partitions with it and record
+    its labels, and ``singletons``. The constructor trusts its input.
+    ``decluster`` and ``refine`` split a partition through ``_split``, which
+    rearranges only the split clusters' segments of ``order``, and record
     ``parent``: for each cluster, the index of the cluster it came from in
     the partition they split (None elsewhere).
     """
 
     __slots__ = ("n", "order", "starts", "sizes", "parent", "_labels")
 
-    def __init__(self, labels: np.ndarray, count: int, parent=None, hint=None):
-        """Index int64 ``labels`` that number ``count`` nonempty clusters 0..count-1.
-
-        ``hint`` is a row order that lists each cluster's rows in ascending
-        order, such as the order of the partition a split started from;
-        sorting it by label is cheaper than a full sort.
-        """
-        self.n = int(labels.size)
+    def __init__(self, order: np.ndarray, sizes: np.ndarray, parent=None):
+        """Cut the int64 row order ``order`` into consecutive clusters of
+        ``sizes`` rows, each listed in ascending order."""
+        self.n = int(order.size)
+        self.order = order
+        self.sizes = sizes
+        self.starts = np.cumsum(sizes) - sizes
         self.parent = parent
-        self._labels = labels
-        if hint is None:
-            # numpy's stable sort of 16-bit keys is a radix sort, O(n)
-            keys = labels.astype(np.uint16) if count <= 1 << 16 else labels
-            self.order = np.argsort(keys, kind="stable")
-        else:
-            self.order = hint[np.argsort(labels[hint], kind="stable")]
-        self.sizes = np.bincount(labels, minlength=count)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        for arr in (labels, self.order, self.sizes, self.starts):
+        self._labels = None
+        for arr in (order, sizes, self.starts):
             arr.flags.writeable = False
 
     @property
@@ -135,7 +127,25 @@ class ClusterPartition:
 
     def labels(self) -> np.ndarray:
         """Read-only int64 cluster index of every row."""
+        if self._labels is None:
+            labels = np.empty(self.n, dtype=np.int64)
+            labels[self.order] = np.repeat(np.arange(self.cluster_count), self.sizes)
+            labels.flags.writeable = False
+            self._labels = labels
         return self._labels
+
+    def positions(self, clusters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the rows of ``clusters``, an int array, lie in ``order``.
+
+        Returns their positions, cluster after cluster, and the offset at
+        which each cluster's run of positions begins. Costs the rows of
+        those clusters, not all n.
+        """
+        sizes = self.sizes[clusters]
+        offsets = np.cumsum(sizes) - sizes
+        pos = np.repeat(self.starts[clusters] - offsets, sizes)
+        pos += np.arange(pos.size)
+        return pos, offsets
 
     def fresh(self) -> np.ndarray:
         """Mask of the clusters that the split making this partition created.
@@ -148,19 +158,24 @@ class ClusterPartition:
         return np.bincount(self.parent)[self.parent] > 1
 
     def __eq__(self, other) -> bool:
+        # order and sizes determine the labels, and the labels them
         if not isinstance(other, ClusterPartition):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._labels, other._labels)
+        return (
+            self.n == other.n
+            and np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.order, other.order)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._labels.tobytes()))
+        return hash((self.n, self.sizes.tobytes(), self.order.tobytes()))
 
     def __repr__(self) -> str:
         return f"ClusterPartition(n={self.n}, clusters={self.cluster_count})"
 
     @staticmethod
     def singletons(n: int) -> "ClusterPartition":
-        return ClusterPartition(np.arange(n, dtype=np.int64), n)
+        return ClusterPartition(np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64))
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "ClusterPartition":
@@ -174,24 +189,49 @@ class ClusterPartition:
         if labels.size and labels.min() >= 0 and labels.max() < labels.size:
             # number the labels present in O(n), without sorting
             rank = np.cumsum(np.bincount(labels) > 0) - 1
-            return ClusterPartition(rank[labels], int(rank[-1]) + 1)
-        values, compact = np.unique(labels, return_inverse=True)
-        return ClusterPartition(compact.astype(np.int64, copy=False), values.size)
-
-    def _split(self, split: np.ndarray, second: np.ndarray) -> "ClusterPartition":
-        """Split every cluster flagged in ``split`` into two adjacent clusters.
-
-        ``second`` flags the rows that go to the second one. Each half keeps
-        its rows in ascending order; later clusters move right to make room.
-        """
-        labels = self._labels
-        shift = np.cumsum(split) - split
-        count = self.cluster_count + int(np.count_nonzero(split))
-        parent = np.repeat(np.arange(self.cluster_count), 1 + split)
-        out = ClusterPartition(labels + shift[labels] + second, count, parent, self.order)
-        if (out.sizes == 0).any():
-            raise PartitionError("a split left a cluster empty")
+            labels, count = rank[labels], int(rank[-1]) + 1
+        else:
+            values, compact = np.unique(labels, return_inverse=True)
+            labels, count = compact.astype(np.int64, copy=False), values.size
+        # numpy's stable sort of 16-bit keys is a radix sort, O(n)
+        keys = labels.astype(np.uint16) if count <= 1 << 16 else labels
+        out = ClusterPartition(np.argsort(keys, kind="stable"), np.bincount(labels, minlength=count))
+        labels.flags.writeable = False
+        out._labels = labels
         return out
+
+    def _split(
+        self, clusters: np.ndarray, pos: np.ndarray, offsets: np.ndarray, second: np.ndarray
+    ) -> "ClusterPartition":
+        """Split each of ``clusters``, an ascending int array, into two adjacent clusters.
+
+        ``pos`` and ``offsets`` locate their rows in ``order``, as
+        ``positions`` returns them, and the bool array ``second`` flags the
+        rows at ``pos`` that go to the second half. Each cluster's segment
+        of a copy of ``order`` is stably partitioned, first half then
+        second, so both halves list their rows in ascending order. The
+        rows of the other clusters stay where they are; those clusters
+        move right in the numbering to make room.
+        """
+        k = self.cluster_count
+        sizes = self.sizes[clusters]
+        tail = np.add.reduceat(second, offsets, dtype=np.int64)
+        rows = self.order[pos]
+        lead = np.arange(pos.size) < np.repeat(offsets + sizes - tail, sizes)
+        order = self.order.copy()
+        # index arrays, not masks: masked gathers branch on every row
+        order[pos[lead]] = rows[np.nonzero(~second)[0]]
+        order[pos[~lead]] = rows[np.nonzero(second)[0]]
+        grow = np.ones(k, dtype=np.int64)
+        grow[clusters] = 2
+        parent = np.repeat(np.arange(k), grow)
+        out_sizes = self.sizes[parent]
+        halves = clusters + np.arange(1, clusters.size + 1)
+        out_sizes[halves] = tail
+        out_sizes[halves - 1] -= tail
+        if np.count_nonzero(out_sizes) < out_sizes.size:
+            raise PartitionError("a split left a cluster empty")
+        return ClusterPartition(order, out_sizes, parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,19 +450,19 @@ def aggregate(
             f"row counts {b.shape[0]}/{a.shape[0]} do not match partition over "
             f"{partition.n} rows"
         )
-    k = partition.cluster_count
-    b_out = np.empty((k, b.shape[1]))
-    a_out = np.empty((k, a.shape[1]))
-    fresh = np.ones(k, dtype=bool) if previous is None else partition.fresh()
-    kept = ~fresh
-    if kept.any():
-        b_out[kept] = previous.B_agg[partition.parent[kept]]
-        a_out[kept] = previous.A_agg[partition.parent[kept]]
-    rows = partition.order[np.repeat(fresh, partition.sizes)]
-    sizes = partition.sizes[fresh]
-    starts = np.cumsum(sizes) - sizes
-    b_out[fresh] = np.add.reduceat(np.take(b, rows, axis=0), starts) / sizes[:, None]
-    a_out[fresh] = np.add.reduceat(np.take(a, rows, axis=0), starts) / sizes[:, None]
+    if previous is None or partition.parent is None:
+        fresh = np.arange(partition.cluster_count)
+        b_out = np.empty((fresh.size, b.shape[1]))
+        a_out = np.empty((fresh.size, a.shape[1]))
+    else:
+        fresh = np.flatnonzero(partition.fresh())
+        b_out = previous.B_agg[partition.parent]
+        a_out = previous.A_agg[partition.parent]
+    pos, starts = partition.positions(fresh)
+    rows = partition.order[pos]
+    sizes = partition.sizes[fresh, None]
+    b_out[fresh] = np.add.reduceat(np.take(b, rows, axis=0), starts) / sizes
+    a_out[fresh] = np.add.reduceat(np.take(a, rows, axis=0), starts) / sizes
     return AggregatedInstance(B_agg=b_out, A_agg=a_out, weights=partition.sizes)
 
 
@@ -458,9 +498,9 @@ def sign_codes(signs) -> np.ndarray:
 
 
 def _codes(negative: np.ndarray) -> np.ndarray:
-    """``sign_codes`` of the pattern that is -1 where ``negative`` holds."""
-    codes = np.zeros(len(negative), dtype=np.int64)
-    for column in negative.T:
+    """``sign_codes`` of the pattern that is -1 where the (n, q) ``negative`` holds."""
+    codes = negative[:, 0].astype(np.int64)
+    for column in negative.T[1:]:
         codes = 2 * codes + column
     return codes
 
@@ -495,28 +535,36 @@ def decluster(
     """Split each violating cluster into its mode-pattern rows and the rest.
 
     ``codes`` holds each row's ``sign_codes`` value and ``violating`` the
-    int array of clusters to split, as ``check_optimality`` returns them.
-    A cluster's mode is its most common pattern, the smallest code on a tie
-    (+1 before -1, first column first). The mode rows take the cluster's
-    slot and the rest follow right after it; other clusters are copied
-    unchanged and move right to make room.
+    ascending int array of clusters to split, as ``check_optimality``
+    returns them. A cluster's mode is its most common pattern, the smallest
+    code on a tie (+1 before -1, first column first). The mode rows take the
+    cluster's slot and the rest follow right after it; other clusters are
+    copied unchanged and move right to make room. Only the violating
+    clusters' rows are read and moved (see ``ClusterPartition._split``).
     """
     k = partition.cluster_count
-    if violating.size and (violating.min() < 0 or violating.max() >= k):
-        raise DeclusterError("violating indices outside the cluster range")
-    split = np.zeros(k, dtype=bool)
-    split[violating] = True
-    codes = np.asarray(codes, dtype=np.int64)
-    labels = partition.labels()
+    if violating.size and not (
+        violating[0] >= 0
+        and violating[-1] < k
+        and not np.count_nonzero(violating[1:] <= violating[:-1])
+    ):
+        raise DeclusterError("violating indices outside the cluster range or not ascending")
+    pos, offsets = partition.positions(violating)
+    codes = np.asarray(codes, dtype=np.int64)[partition.order[pos]]
+    segment = np.repeat(np.arange(violating.size), partition.sizes[violating])
     width = int(codes.max(initial=0)) + 1
-    table = np.bincount(labels * width + codes, minlength=k * width).reshape(k, width)
-    single = split & (np.count_nonzero(table, axis=1) < 2)
-    if single.any():
+    table = np.bincount(segment * width + codes, minlength=violating.size * width)
+    mode = table.reshape(violating.size, width).argmax(axis=1)
+    second = codes != mode[segment]
+    try:
+        return partition._split(violating, pos, offsets, second)
+    except PartitionError:
+        # only a cluster without a second pattern leaves its second half empty
+        single = np.add.reduceat(second, offsets) == 0
         raise DeclusterError(
-            f"cluster {int(np.argmax(single))} was marked violating but has a single sign pattern"
-        )
-    mode = table.argmax(axis=1)
-    return partition._split(split, split[labels] & (codes != mode[labels]))
+            f"cluster {int(violating[np.argmax(single)])} was marked violating but has a "
+            "single sign pattern"
+        ) from None
 
 
 def refine(
@@ -527,11 +575,13 @@ def refine(
     ``problem.split_cluster`` names each one's second half. Other clusters
     are copied unchanged.
     """
-    split = np.asarray(terms) > 0.0
-    second = np.zeros(partition.n, dtype=bool)
-    for c in np.flatnonzero(split).tolist():
-        second[problem.split_cluster(a, partition.rows(c))] = True
-    return partition._split(split, second)
+    split = np.flatnonzero(np.asarray(terms) > 0.0)
+    pos, offsets = partition.positions(split)
+    second = np.zeros(pos.size, dtype=bool)
+    for c, offset in zip(split.tolist(), offsets.tolist()):
+        rows = partition.rows(c)
+        second[offset + np.searchsorted(rows, problem.split_cluster(a, rows))] = True
+    return partition._split(split, pos, offsets, second)
 
 
 def bound_slack(value, bound, scale=0.0):

@@ -234,14 +234,15 @@ def spread_bound_terms(
     every term has the bits of a fresh call. Memory is the gathered rows of
     those clusters plus their (k, m, m) scatter stack.
     """
-    fresh = np.ones(partition.cluster_count, dtype=bool) if previous is None else partition.fresh()
-    terms = np.empty(partition.cluster_count)
-    kept = ~fresh
-    if kept.any():
-        terms[kept] = previous[partition.parent[kept]]
+    if previous is None or partition.parent is None:
+        fresh = np.arange(partition.cluster_count)
+        terms = np.empty(fresh.size)
+    else:
+        fresh = np.flatnonzero(partition.fresh())
+        terms = previous[partition.parent]
+    pos, starts = partition.positions(fresh)
+    rows = np.take(a, partition.order[pos], axis=0)
     sizes = partition.sizes[fresh]
-    starts = np.cumsum(sizes) - sizes
-    rows = np.take(a, partition.order[np.repeat(fresh, partition.sizes)], axis=0)
     spread = (np.maximum.reduceat(rows, starts) != np.minimum.reduceat(rows, starts)).any(axis=1)
     rows -= np.repeat(np.add.reduceat(rows, starts) / sizes[:, None], sizes, axis=0)
     scatter = np.empty((sizes.size, a.shape[1], a.shape[1]))

@@ -128,3 +128,39 @@ def test_normalizer_line_accepts_kernels_within_the_bound():
     assert "same kernel state" in normalizer_line(
         {"old": [{"kernel_s": 1.0}], "new": [{"kernel_s": 1.15}]}, 0.2)
     assert "DIFFER" in normalizer_line({"old": [{"kernel_s": 1.0}], "new": [{"kernel_s": 0.75}]}, 0.2)
+
+
+def test_workload_list_runs_and_reports_each_workload_in_turn(tmp_path, monkeypatch, capsys):
+    for arm in ("old", "new"):
+        (tmp_path / arm / "perfbench").mkdir(parents=True)
+        (tmp_path / arm / "perfbench" / "run.py").write_text("")
+    (tmp_path / "new" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "solve_s_p50", "better": "lower", "bound": 0.2}]}'
+    )
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        base = {"lad-tall": 0.010, "subset-paper": 0.004}[workload]
+        value = base * (0.9 if checkout.name == "new" else 1.0)
+        return {"solve_s_p50": value, "solves_per_s": 1 / value, "wall_solve_s_p50": value,
+                "kernel_s": 0.015, "setup_s": 0.1, "peak_rss_mb": 50.0, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    bench_pairs.main([str(tmp_path / "old"), str(tmp_path / "new"),
+                      "--workload", "lad-tall, subset-paper", "--pairs", "2", "--seed", "3"])
+    # every pair of one workload runs before the next, the first arm alternating
+    assert calls == [
+        ("old", "lad-tall", 3), ("new", "lad-tall", 3), ("new", "lad-tall", 4), ("old", "lad-tall", 4),
+        ("old", "subset-paper", 3), ("new", "subset-paper", 3),
+        ("new", "subset-paper", 4), ("old", "subset-paper", 4),
+    ]
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if line.endswith("medians over 2 pairs of 30 s runs")]
+    assert [out[i].split(":")[0] for i in heads] == ["# lad-tall", "# subset-paper"]
+    for i in heads:
+        block = out[i : i + 7]
+        assert block[1].startswith("old solve_s_p50 ") and block[2].startswith("new solve_s_p50 ")
+        assert block[5].startswith("verdict solve_s_p50 (lower is better, bound 0.2)")
+        assert block[6].startswith("verdict wall_solve_s_p50 (raw, not declared")
+        assert "verdict normalizer" in out[i + 7] and "same kernel state" in out[i + 7]

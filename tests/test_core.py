@@ -246,6 +246,11 @@ class TestDecluster:
         part = ClusterPartition.from_labels([0, 0])
         with pytest.raises(DeclusterError):
             decluster(part, sign_codes([(1,), (-1,)]), np.array([3]))
+        # the split needs the violating clusters ascending and distinct
+        part = ClusterPartition.from_labels([0, 0, 1, 1])
+        for violating in ([1, 0], [0, 0]):
+            with pytest.raises(DeclusterError, match="not ascending"):
+                decluster(part, sign_codes([(1,), (-1,)] * 2), np.array(violating))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 9999))
@@ -267,6 +272,30 @@ def labelled_signs(draw):
     labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
     pattern = st.tuples(*[st.sampled_from((1, -1))] * q)
     return labels, draw(st.lists(pattern, min_size=n, max_size=n))
+
+
+@st.composite
+def split_chains(draw):
+    """A labelled partition and two or three split steps: ``decluster`` with
+    fresh sign patterns per row, or ``refine`` with a flag per cluster."""
+    q = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    pattern = st.tuples(*[st.sampled_from((1, -1))] * q)
+    steps = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            steps.append(("decluster", draw(st.lists(pattern, min_size=n, max_size=n))))
+        else:
+            steps.append(("refine", draw(st.lists(st.booleans(), min_size=1, max_size=8))))
+    return n, q, labels, steps
+
+
+class AlternateHalves:
+    """A refinement split that sends every other row of a cluster to its second half."""
+
+    def split_cluster(self, a, cluster):
+        return cluster[1::2]
 
 
 class TestArrayPath:
@@ -301,6 +330,54 @@ class TestArrayPath:
         assert np.array_equal(reused.B_agg, fresh.B_agg)
         assert np.array_equal(reused.A_agg, fresh.A_agg)
         assert np.array_equal(reused.weights, fresh.weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_chains())
+    @example((5, 1, [0] * 5, [("refine", [True]), ("decluster", [(1,), (-1,), (1,), (-1,), (1,)])]))
+    def test_chained_splits_match_from_labels(self, case):
+        # later steps split partitions that _split built, whose labels are
+        # not derived until the end
+        n, q, labels, steps = case
+        a = np.sin(np.arange(3.0 * n)).reshape(n, 3)
+        b = np.cos(np.arange(float(q) * n)).reshape(n, q)
+        part = ClusterPartition.from_labels(labels)
+        agg = aggregate(b, a, part)
+        chain = []
+        for kind, draw in steps:
+            clusters = [tuple(rows.tolist()) for rows in clusters_of(part)]
+            if kind == "decluster":
+                _, violating, codes = check_optimality(np.array(draw, dtype=float), part, 0.0)
+                split = set(violating.tolist())
+                expected = counter_decluster(draw, clusters, split)
+                out = decluster(part, codes, violating)
+            else:
+                split = {
+                    c for c, rows in enumerate(clusters) if len(rows) > 1 and draw[c % len(draw)]
+                }
+                expected = tuple(
+                    half for c, rows in enumerate(clusters)
+                    for half in ((rows[0::2], rows[1::2]) if c in split else (rows,))
+                )
+                terms = np.array([1.0 if c in split else 0.0 for c in range(len(clusters))])
+                out = refine(a, AlternateHalves(), part, terms)
+            parent = [c for c in range(len(clusters)) for _ in range(1 + (c in split))]
+            reference = partition_of(n, expected)
+            assert out._labels is None
+            assert np.array_equal(out.order, reference.order)
+            assert np.array_equal(out.starts, reference.starts)
+            assert np.array_equal(out.sizes, reference.sizes)
+            assert out.parent.tolist() == parent
+            assert out.fresh().tolist() == [c in split for c in parent]
+            agg = aggregate(b, a, out, previous=agg)
+            scratch = aggregate(b, a, out)
+            assert np.array_equal(agg.B_agg, scratch.B_agg)
+            assert np.array_equal(agg.A_agg, scratch.A_agg)
+            assert np.array_equal(agg.weights, scratch.weights)
+            chain.append((out, reference))
+            part = out
+        for out, reference in chain:
+            assert np.array_equal(out.labels(), reference.labels())
+            assert out == reference and hash(out) == hash(reference)
 
 
 class TestOptimalityGap:
