@@ -15,7 +15,6 @@ from .core import (
     AggregatedInstance,
     ClusterPartition,
     ProblemDefinition,
-    SolverConfig,
     aggregate,
     check_optimality,
     decluster,
@@ -32,7 +31,6 @@ __all__ = [
     "symmetric_eigen",
     "ClusterPartition",
     "AggregatedInstance",
-    "SolverConfig",
     "AidConfig",
     "ProblemDefinition",
     "AidReport",

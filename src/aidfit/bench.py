@@ -31,7 +31,6 @@ from .core import (
     AidReport,
     AggregatedInstance,
     ClusterPartition,
-    SolverConfig,
     run_aid,
     validate_report,
 )
@@ -43,6 +42,9 @@ from .data_io import (
 )
 from .linalg import DataMatrix
 from .problems import (
+    PCA_CAP,
+    SPHERE_TOL,
+    SUBSET_CAP,
     LadRegressionProblem,
     PcaProjectionProblem,
     SphereRegressionProblem,
@@ -158,35 +160,29 @@ class RunSettings:
     max_iters: int | None = None
     p: int | None = None
     radius: float | None = None
-    sphere_tol: float = SolverConfig.sphere_tol
-    subset_cap: int = SolverConfig.subset_cap
-    pca_cap: int = SolverConfig.pca_cap
+    sphere_tol: float = SPHERE_TOL
+    subset_cap: int = SUBSET_CAP
+    pca_cap: int = PCA_CAP
     standardize: bool = False
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            sphere_tol=self.sphere_tol,
-            subset_cap=self.subset_cap,
-            pca_cap=self.pca_cap,
-        )
 
 
 def build_problem(settings: RunSettings, m: int):
+    """The problem ``settings`` names, with its solver settings, for m feature columns."""
     pid = settings.problem
     if pid == "lad":
         return LadRegressionProblem()
     if pid == "subset":
         if settings.p is None:
             raise ValueError("subset selection needs p")
-        return SubsetSelectionProblem(m, settings.p)
+        return SubsetSelectionProblem(m, settings.p, cap=settings.subset_cap)
     if pid == "sphere":
         if settings.radius is None:
             raise ValueError("sphere regression needs a radius")
-        return SphereRegressionProblem(settings.radius)
+        return SphereRegressionProblem(settings.radius, tol=settings.sphere_tol)
     if pid == "l1pca":
         if settings.p is None:
             raise ValueError("l1pca needs p")
-        return PcaProjectionProblem(settings.p)
+        return PcaProjectionProblem(settings.p, cap=settings.pca_cap)
     raise ValueError(f"unknown problem id {pid!r}")
 
 
@@ -245,7 +241,7 @@ def direct_solve(settings: RunSettings, b: DataMatrix | None, a: DataMatrix):
     if settings.problem == "l1pca":
         b = problem.zero_target(a.rows)
     agg = AggregatedInstance(b.values, a.values, np.ones(a.rows, dtype=np.int64))
-    return problem.solve_weighted(agg, settings.solver_config())
+    return problem.solve_weighted(agg)
 
 
 def _report_iterations(report: AidReport) -> list[dict]:
@@ -263,14 +259,6 @@ def _report_iterations(report: AidReport) -> list[dict]:
             row["upper_bound"] = rec.upper_bound
         rows.append(row)
     return rows
-
-
-def _aid_config(settings: RunSettings) -> AidConfig:
-    return AidConfig(
-        tol=settings.tol,
-        max_iters=settings.max_iters,
-        solver=settings.solver_config(),
-    )
 
 
 def run_solve(
@@ -293,11 +281,12 @@ def run_solve(
         feature_source=settings.feature_source or default_feature_source(settings.problem),
     )
 
+    config = AidConfig(tol=settings.tol, max_iters=settings.max_iters)
     start = time.perf_counter()
     if settings.problem == "hyperplane":
         initial = _initial_partition(settings, None, a)
         partition_s = time.perf_counter() - start
-        solution = solve_best_fit_hyperplane(a, initial, _aid_config(settings))
+        solution = solve_best_fit_hyperplane(a, initial, config)
         report = solution.report
     else:
         problem = build_problem(settings, a.cols)
@@ -307,7 +296,7 @@ def run_solve(
             raise ValueError(f"instance provides no target data for {settings.problem}")
         initial = _initial_partition(settings, b if settings.problem != "l1pca" else None, a)
         partition_s = time.perf_counter() - start
-        report = run_aid(b, a, problem, initial, _aid_config(settings))
+        report = run_aid(b, a, problem, initial, config)
         solution = report.solution
     wall = time.perf_counter() - start
     validate_report(report, tol=settings.tol)

@@ -22,9 +22,9 @@ from .bench import (
     run_solve,
     write_report,
 )
-from .core import IterationLimitError, SolverConfig
+from .core import IterationLimitError
 from .data_io import CsvFormatError, SyntheticSpec, write_instance_bundle
-from .problems import InstanceTooLargeError, SphereNotConvergedError
+from .problems import PCA_CAP, SPHERE_TOL, SUBSET_CAP, InstanceTooLargeError, SphereNotConvergedError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -74,9 +74,9 @@ def _add_common_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--models", type=int, default=5, help="residual feature fits")
     parser.add_argument("--feature-p", type=int, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--sphere-tol", type=float, default=SolverConfig.sphere_tol)
-    parser.add_argument("--subset-cap", type=int, default=SolverConfig.subset_cap)
-    parser.add_argument("--pca-cap", type=int, default=SolverConfig.pca_cap)
+    parser.add_argument("--sphere-tol", type=float, default=SPHERE_TOL)
+    parser.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
+    parser.add_argument("--pca-cap", type=int, default=PCA_CAP)
     parser.add_argument("--standardize", action="store_true")
 
 

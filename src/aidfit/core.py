@@ -14,16 +14,16 @@ rows, or the next exact solve would exceed the enumeration budget.
 
 Data enters ``run_aid`` as validated ``DataMatrix`` objects; the loop reads
 their arrays once and everything it calls per iteration takes and returns
-plain ndarrays. Inside the loop a partition is a label vector and a sign
-pattern an integer code, so each iteration's pass over the full data is a
-few array operations: one evaluation of the fit and one subtraction B - F,
-whose residual gives both the objective and the sign check.
+plain ndarrays. Inside the loop a partition is its row ``order`` cut into
+``sizes`` segments (labels are derived on demand) and a sign pattern an
+integer code, so each iteration's pass over the full data is one fit and one
+subtraction B - F, whose residual gives both the objective and the sign check.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "IterationLimitError",
     "ClusterPartition",
     "AggregatedInstance",
-    "SolverConfig",
     "AidConfig",
     "ProblemDefinition",
     "IterationRecord",
@@ -146,6 +145,20 @@ class ClusterPartition:
         pos = np.repeat(self.starts[clusters] - offsets, sizes)
         pos += np.arange(pos.size)
         return pos, offsets
+
+    def recompute(self, carry: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clusters a per-cluster computation must do, their rows and offsets.
+
+        With ``carry`` (the caller holds its values for the partition this one
+        was split from) and a ``parent``, only the ``fresh`` clusters; the rest
+        copy their values through ``parent``. Otherwise every cluster.
+        """
+        if carry and self.parent is not None:
+            clusters = np.flatnonzero(self.fresh())
+        else:
+            clusters = np.arange(self.cluster_count)
+        pos, offsets = self.positions(clusters)
+        return clusters, self.order[pos], offsets
 
     def fresh(self) -> np.ndarray:
         """Mask of the clusters that the split making this partition created.
@@ -259,19 +272,12 @@ class AggregatedInstance:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Numeric knobs for the exact aggregated-problem solvers."""
-
-    sphere_tol: float = 1e-7
-    subset_cap: int = 10**6
-    pca_cap: int = 2**26
-
-
-@dataclass(frozen=True)
 class AidConfig:
+    """``run_aid``'s stop settings: relative gap ``tol`` and iteration cap
+    ``max_iters`` (None: the row count). Solver settings belong to the problem."""
+
     tol: float = 0.0
     max_iters: int | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 class ProblemDefinition(abc.ABC):
@@ -280,7 +286,9 @@ class ProblemDefinition(abc.ABC):
     ``apply_f`` must commute with row averaging: f(X, W A) == W f(X, A) for
     every averaging matrix W. That property is what makes per-cluster means
     a faithful stand-in for their rows. The engine passes every method plain
-    arrays, already validated where the data entered.
+    arrays, already validated where the data entered. A problem takes its
+    solver's settings (a budget, a tolerance) at construction; the engine
+    passes none.
     """
 
     sense: Literal["minimize", "maximize"] = "minimize"
@@ -296,7 +304,7 @@ class ProblemDefinition(abc.ABC):
         rows ``a``; returns the (n, q) fit."""
 
     @abc.abstractmethod
-    def solve_weighted(self, agg: AggregatedInstance, config: SolverConfig, prior=None):
+    def solve_weighted(self, agg: AggregatedInstance, prior=None):
         """Exactly solve the weighted problem on aggregated data.
 
         Returns a problem-specific solution object carrying ``objective``,
@@ -343,8 +351,8 @@ class ProblemDefinition(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no refinement split")
 
-    def fits_budget(self, cluster_count: int, config: SolverConfig) -> bool:
-        """Whether ``solve_weighted`` stays within its budget on that many clusters."""
+    def fits_budget(self, cluster_count: int) -> bool:
+        """Whether ``solve_weighted`` stays within its own budget on that many clusters."""
         raise NotImplementedError(f"{type(self).__name__} has no solve budget")
 
 
@@ -442,24 +450,21 @@ def aggregate(
     order, divided by its size. ``previous``, the aggregate of the partition
     that ``partition`` was split from, supplies the means of the clusters
     that the split kept (a ``partition.parent`` entry that no other cluster
-    shares; see ``ClusterPartition.fresh``), so only the new clusters are
-    summed, all in one ``np.add.reduceat`` call per array.
+    shares; see ``ClusterPartition.recompute``), so only the new clusters
+    are summed, all in one ``np.add.reduceat`` call per array.
     """
     if b.shape[0] != partition.n or a.shape[0] != partition.n:
         raise PartitionError(
             f"row counts {b.shape[0]}/{a.shape[0]} do not match partition over "
             f"{partition.n} rows"
         )
-    if previous is None or partition.parent is None:
-        fresh = np.arange(partition.cluster_count)
-        b_out = np.empty((fresh.size, b.shape[1]))
-        a_out = np.empty((fresh.size, a.shape[1]))
-    else:
-        fresh = np.flatnonzero(partition.fresh())
+    fresh, rows, starts = partition.recompute(previous is not None)
+    if fresh.size < partition.cluster_count:
         b_out = previous.B_agg[partition.parent]
         a_out = previous.A_agg[partition.parent]
-    pos, starts = partition.positions(fresh)
-    rows = partition.order[pos]
+    else:
+        b_out = np.empty((fresh.size, b.shape[1]))
+        a_out = np.empty((fresh.size, a.shape[1]))
     sizes = partition.sizes[fresh, None]
     b_out[fresh] = np.add.reduceat(np.take(b, rows, axis=0), starts) / sizes
     a_out[fresh] = np.add.reduceat(np.take(a, rows, axis=0), starts) / sizes
@@ -695,7 +700,7 @@ def run_aid(
     terms = None
     for t in range(1, max_iters + 1):
         agg = aggregate(b, a, partition, previous=agg)
-        solution = problem.solve_weighted(agg, config.solver, prior=prior)
+        solution = problem.solve_weighted(agg, prior=prior)
         bound = float(solution.objective) - float(getattr(solution, "certified_gap", 0.0))
         fitted = problem.apply_f(solution, a)
         if fitted.shape != b.shape:  # numpy would broadcast B - F
@@ -741,7 +746,7 @@ def run_aid(
                 break
         else:
             splits = len(violating)
-        if maximize and not problem.fits_budget(partition.cluster_count + splits, config.solver):
+        if maximize and not problem.fits_budget(partition.cluster_count + splits):
             termination = "enumeration_budget"
             break
         if satisfied:

@@ -8,6 +8,7 @@ from .definitions import (
 )
 from .hyperplane import DegenerateColumnError, HyperplaneFit, solve_best_fit_hyperplane
 from .lad import (
+    SUBSET_CAP,
     InstanceTooLargeError,
     RegressionSolution,
     SubsetSolution,
@@ -16,19 +17,23 @@ from .lad import (
     weighted_lad_lp,
 )
 from .pca import (
+    PCA_CAP,
     PcaSolution,
     solve_l1pca_exact,
     solve_weighted_l1pca,
     weighted_to_unweighted_pca,
 )
 from .simplex import CycleGuardError, SimplexError, primal_simplex
-from .sphere import SphereNotConvergedError, SphereSolution, solve_sphere_lad
+from .sphere import SPHERE_TOL, SphereNotConvergedError, SphereSolution, solve_sphere_lad
 
 __all__ = [
     "LadRegressionProblem",
     "SubsetSelectionProblem",
     "SphereRegressionProblem",
     "PcaProjectionProblem",
+    "SUBSET_CAP",
+    "SPHERE_TOL",
+    "PCA_CAP",
     "RegressionSolution",
     "SubsetSolution",
     "SphereSolution",

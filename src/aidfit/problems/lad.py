@@ -52,13 +52,14 @@ from math import comb
 
 import numpy as np
 
-from ..core import AggregatedInstance, LowerBoundViolationError, SolverConfig, bound_slack
+from ..core import AggregatedInstance, LowerBoundViolationError, bound_slack
 from .simplex import lockstep_dual_simplex, primal_simplex
 
 __all__ = [
     "RegressionSolution",
     "SubsetSolution",
     "InstanceTooLargeError",
+    "SUBSET_CAP",
     "weighted_lad_lp",
     "solve_weighted_lad",
     "solve_subset_selection",
@@ -77,6 +78,7 @@ __all__ = [
 # the width limit the sort.
 STACK_MIN_LPS = 5
 STACK_MAX_COLUMNS = 256
+SUBSET_CAP = 10**6  # default budget of ``solve_subset_selection``: supports per solve
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -221,7 +223,7 @@ def solve_weighted_lad(
 def solve_subset_selection(
     agg: AggregatedInstance,
     p: int,
-    cap: int = SolverConfig.subset_cap,
+    cap: int = SUBSET_CAP,
     prior: tuple[SubsetSolution, float] | None = None,
 ) -> SubsetSolution:
     """Exact best-subset LAD: try every support of size p, keep the best.

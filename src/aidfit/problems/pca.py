@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregatedInstance, ClusterPartition, SolverConfig
+from ..core import AggregatedInstance, ClusterPartition
 from ..linalg import DataMatrix
 from .lad import InstanceTooLargeError
 
 __all__ = [
+    "PCA_CAP",
     "PcaSolution",
     "weighted_to_unweighted_pca",
     "solve_l1pca_exact",
@@ -34,6 +35,7 @@ __all__ = [
     "principal_halves",
 ]
 
+PCA_CAP = 2**26  # default enumeration budget: sign matrices per exact solve
 CHUNK = 1 << 17  # scores per GEMM chunk of the p=1 enumeration
 TIE_REL = 1e-10  # relative band below the best expanded score that is rescored
 DIRECT_BLOCK = 1 << 17  # floats per block of signed rows in ``_direct_scores``
@@ -46,16 +48,15 @@ class PcaSolution:
     sign_matrix: np.ndarray
 
 
-def weighted_to_unweighted_pca(agg: AggregatedInstance) -> DataMatrix:
-    """Scale each aggregated feature row by its cluster size.
+def weighted_to_unweighted_pca(agg: AggregatedInstance) -> np.ndarray:
+    """Scale each aggregated feature row by its cluster size; returns a new array.
 
     Valid only for the PCA problem, where the target matrix plays no role
-    and must be zero. Returns a ``DataMatrix`` because ``solve_l1pca_exact``,
-    the exact solver it feeds, is also the direct solver at the API edge.
+    and must be zero.
     """
     if float(np.abs(agg.B_agg).max(initial=0.0)) != 0.0:
         raise ValueError("the PCA reduction expects a zero target matrix")
-    return DataMatrix(agg.A_agg * agg.weights[:, None])
+    return agg.A_agg * agg.weights[:, None]
 
 
 def _sign_block(idx: int | np.ndarray, bits: int) -> np.ndarray:
@@ -229,19 +230,14 @@ def spread_bound_terms(
 
     ``previous`` holds the terms of the partition that ``partition`` was
     split from. A cluster the split kept whole (see
-    ``ClusterPartition.fresh``) copies its term from there, and only the
+    ``ClusterPartition.recompute``) copies its term from there, and only the
     clusters the split created are computed, by the same arithmetic, so
     every term has the bits of a fresh call. Memory is the gathered rows of
     those clusters plus their (k, m, m) scatter stack.
     """
-    if previous is None or partition.parent is None:
-        fresh = np.arange(partition.cluster_count)
-        terms = np.empty(fresh.size)
-    else:
-        fresh = np.flatnonzero(partition.fresh())
-        terms = previous[partition.parent]
-    pos, starts = partition.positions(fresh)
-    rows = np.take(a, partition.order[pos], axis=0)
+    fresh, members, starts = partition.recompute(previous is not None)
+    terms = previous[partition.parent] if fresh.size < partition.cluster_count else np.empty(fresh.size)
+    rows = np.take(a, members, axis=0)
     sizes = partition.sizes[fresh]
     spread = (np.maximum.reduceat(rows, starts) != np.minimum.reduceat(rows, starts)).any(axis=1)
     rows -= np.repeat(np.add.reduceat(rows, starts) / sizes[:, None], sizes, axis=0)
@@ -278,7 +274,7 @@ def principal_halves(a: np.ndarray, cluster: np.ndarray) -> np.ndarray:
     return cluster[~upper]
 
 
-def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = SolverConfig.pca_cap) -> PcaSolution:
+def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = PCA_CAP) -> PcaSolution:
     """Globally maximize ||A X||_1 over m-by-p X with orthonormal columns.
 
     Sign matrices are scored by the nuclear norm of A^T S; ties keep the
@@ -317,10 +313,13 @@ def solve_l1pca_exact(A: DataMatrix, p: int, cap: int = SolverConfig.pca_cap) ->
     return PcaSolution(components=components, objective=objective, sign_matrix=signs)
 
 
-def solve_weighted_l1pca(agg: AggregatedInstance, p: int, cap: int = SolverConfig.pca_cap) -> PcaSolution:
-    """Solve the cluster-weighted PCA problem through the row-scaling reduction."""
+def solve_weighted_l1pca(agg: AggregatedInstance, p: int, cap: int = PCA_CAP) -> PcaSolution:
+    """Solve the cluster-weighted PCA problem through the row-scaling reduction.
+
+    Every enumeration goes through ``solve_l1pca_exact``, where perfbench
+    counts sign vectors, so the k scaled rows are wrapped in a ``DataMatrix``."""
     scaled = weighted_to_unweighted_pca(agg)
-    unweighted = solve_l1pca_exact(scaled, p, cap)
+    unweighted = solve_l1pca_exact(DataMatrix(scaled), p, cap)
     fitted = agg.A_agg @ unweighted.components
     objective = float(agg.weights @ np.abs(fitted).sum(axis=1))
     return PcaSolution(

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DEFAULT_EPS_SIGN, AggregatedInstance, SolverConfig, bound_slack
+from ..core import DEFAULT_EPS_SIGN, AggregatedInstance, bound_slack
 from .lad import weighted_lad_lp
 
-__all__ = ["SphereSolution", "SphereNotConvergedError", "solve_sphere_lad"]
+__all__ = ["SPHERE_TOL", "SphereSolution", "SphereNotConvergedError", "solve_sphere_lad"]
+
+SPHERE_TOL = 1e-7  # default relative gap at which ``solve_sphere_lad`` certifies
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _snap(
 def solve_sphere_lad(
     agg: AggregatedInstance,
     radius: float,
-    tol: float = SolverConfig.sphere_tol,
+    tol: float = SPHERE_TOL,
     max_iters: int = 100,
 ) -> SphereSolution:
     """Exactly solve min sum_k w_k |b_k - a_k @ x| subject to ||x||^2 <= R.

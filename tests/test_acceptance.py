@@ -30,7 +30,6 @@ from aidfit.core import (
     AidConfig,
     AidReport,
     ClusterPartition,
-    SolverConfig,
     decluster,
     run_aid,
     sign_codes,
@@ -84,7 +83,6 @@ def _log_uniform(rng, low, high):
 def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | None, tol: float) -> Run:
     a, b, _ = generate_instance(spec)
     n, m = a.rows, a.cols
-    solver = SolverConfig(sphere_tol=SPHERE_TOL)
     if problem == "lad":
         prob = LadRegressionProblem()
         direct = solve_weighted_lad(make_agg(b.values, a.values)).objective
@@ -98,7 +96,7 @@ def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | No
             default_initial_cluster_count(n), "residuals", spec.seed, feature_p=p
         )
     elif problem == "sphere":
-        prob = SphereRegressionProblem(radius)
+        prob = SphereRegressionProblem(radius, tol=SPHERE_TOL)
         direct = solve_sphere_lad(
             make_agg(b.values, a.values), radius, tol=SPHERE_TOL
         ).objective
@@ -115,7 +113,7 @@ def _build_and_run(problem: str, spec: SyntheticSpec, p: int, radius: float | No
     initial = build_initial_partition(
         b if problem != "l1pca" else None, a, features
     )
-    report = run_aid(b, a, prob, initial, AidConfig(tol=tol, solver=solver))
+    report = run_aid(b, a, prob, initial, AidConfig(tol=tol))
     return Run(problem=problem, n=n, report=report, direct_objective=direct)
 
 

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +23,9 @@ from aidfit.bench import (
 )
 from aidfit.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
 from aidfit.data_io import SyntheticSpec
+from aidfit.problems import InstanceTooLargeError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def tiny_spec(seed=0, n=25, m=3, p=2):
@@ -216,6 +221,40 @@ class TestReportSchema:
             [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
         )
         assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize(
+    "settings, attr, raises",
+    [
+        # a cap below the C(3, 2) supports stops the first solve
+        (RunSettings(problem="subset", p=2, subset_cap=comb(3, 2) - 1), "cap", InstanceTooLargeError),
+        # six initial clusters need 2^5 sign vectors
+        (RunSettings(problem="l1pca", p=1, k0=6, pca_cap=2**4), "cap", InstanceTooLargeError),
+        (RunSettings(problem="sphere", radius=4.0, sphere_tol=1e-3), "tol", None),
+    ],
+)
+def test_solver_settings_reach_the_problem(settings, attr, raises):
+    field = {"subset": "subset_cap", "l1pca": "pca_cap", "sphere": "sphere_tol"}
+    problem = bench.build_problem(settings, 3)
+    assert getattr(problem, attr) == getattr(settings, field[settings.problem])
+    if raises is None:
+        assert run_solve(settings, tiny_spec(2))["payload"]["converged"]
+    else:
+        with pytest.raises(raises):
+            run_solve(settings, tiny_spec(2))
+
+
+def test_benchmark_fingerprints_match_the_recorded_references(monkeypatch):
+    # perfbench/run.py refuses to run a workload whose RunSettings repr or
+    # instance spec differs from what reference.json was recorded with
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((PERFBENCH / "reference.json").read_text())
+    assert sorted(recorded) == sorted(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        assert workloads.spec_fingerprint(workload) == recorded[name]["fingerprint"], name
 
 
 class TestRelativeError:

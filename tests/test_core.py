@@ -17,7 +17,6 @@ from aidfit.core import (
     check_optimality,
     decluster,
     optimality_gap,
-    SolverConfig,
     refine,
     residual_signs,
     run_aid,
@@ -579,12 +578,12 @@ class CountingLad(LadRegressionProblem):
 class CountingPca(PcaProjectionProblem):
     """Records the cluster count and solution of every exact solve."""
 
-    def __init__(self, p):
-        super().__init__(p)
+    def __init__(self, p, cap):
+        super().__init__(p, cap)
         self.calls = []
 
-    def solve_weighted(self, agg, config, prior=None):
-        sol = super().solve_weighted(agg, config, prior)
+    def solve_weighted(self, agg, prior=None):
+        sol = super().solve_weighted(agg, prior)
         self.calls.append((agg.cluster_count, sol))
         return sol
 
@@ -604,10 +603,8 @@ def two_blob_pca(rng, per_blob=6):
 class TestRunAidMaximize:
     def test_budget_stop_keeps_agreement_incumbent(self, rng):
         a, part = two_blob_pca(rng)
-        prob = CountingPca(1)
-        cap = 2  # two clusters fit (2^1 sign vectors), four would not
-        config = AidConfig(tol=0.0, solver=SolverConfig(pca_cap=cap))
-        report = run_aid(prob.zero_target(a.rows), a, prob, part, config)
+        prob = CountingPca(1, cap=2)  # two clusters fit (2^1 sign vectors), four would not
+        report = run_aid(prob.zero_target(a.rows), a, prob, part, AidConfig(tol=0.0))
         assert report.termination == "enumeration_budget"
         assert report.converged and not report.certified_optimal
         assert [count for count, _ in prob.calls] == [2]
@@ -624,11 +621,9 @@ class TestRunAidMaximize:
         a, _ = two_blob_pca(rng)
         # each cluster holds rows of both blobs, which project with opposite signs
         part = ClusterPartition.from_labels([0, 1] * 6)
-        prob = CountingPca(1)
-        cap = 2  # two clusters fit, the four a split would make do not
-        config = AidConfig(tol=0.0, solver=SolverConfig(pca_cap=cap))
+        prob = CountingPca(1, cap=2)  # two clusters fit, the four a split would make do not
         b = prob.zero_target(a.rows)
-        report = run_aid(b, a, prob, part, config)
+        report = run_aid(b, a, prob, part, AidConfig(tol=0.0))
         assert report.termination == "enumeration_budget"
         assert not report.certified_optimal
         assert [count for count, _ in prob.calls] == [2]

@@ -219,8 +219,8 @@ class CheckedSubset(SubsetSelectionProblem):
         self.bitwise = bitwise
         self.per_solve = []
 
-    def solve_weighted(self, agg, config, prior=None):
-        pruned = super().solve_weighted(agg, config, prior)
+    def solve_weighted(self, agg, prior=None):
+        pruned = super().solve_weighted(agg, prior)
         self.per_solve.append(sum(fit is not None for fit in pruned.fits))
         full = solve_subset_selection(agg, self.p)
         assert pruned.support == full.support
@@ -309,8 +309,8 @@ class CheckedLad(LadRegressionProblem):
     def __init__(self):
         self.warm = 0
 
-    def solve_weighted(self, agg, config, prior=None):
-        warm = super().solve_weighted(agg, config, prior)
+    def solve_weighted(self, agg, prior=None):
+        warm = super().solve_weighted(agg, prior)
         self.warm += prior is not None
         cold = solve_weighted_lad(agg)
         b, w = agg.B_agg[:, 0], agg.weights

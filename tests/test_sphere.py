@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aidfit.clustering import kmeans_one_pass
-from aidfit.core import AidConfig, SolverConfig, run_aid
+from aidfit.core import AidConfig, run_aid
 from aidfit.linalg import DataMatrix
 from aidfit.problems import SphereRegressionProblem
 from aidfit.problems.lad import solve_weighted_lad
@@ -196,12 +196,12 @@ class TestExactFitsAndScale:
 
 
 class RecordingSphere(SphereRegressionProblem):
-    def __init__(self, radius):
-        super().__init__(radius)
+    def __init__(self, radius, tol):
+        super().__init__(radius, tol)
         self.solves = []
 
-    def solve_weighted(self, agg, config, prior=None):
-        solution = super().solve_weighted(agg, config, prior)
+    def solve_weighted(self, agg, prior=None):
+        solution = super().solve_weighted(agg, prior)
         self.solves.append((agg, solution))
         return solution
 
@@ -214,9 +214,9 @@ class TestAggregatedBound:
         for seed in range(6):
             a = rng.standard_normal((120, 3))
             b = a @ np.array([4.0, -3.0, 2.0]) + rng.standard_normal(120)
-            problem = RecordingSphere(radius=9.0)
+            problem = RecordingSphere(radius=9.0, tol=1e-4)
             initial = kmeans_one_pass(DataMatrix(np.hstack([a, b[:, None]])), 6, seed)
-            config = AidConfig(tol=0.0, solver=SolverConfig(sphere_tol=1e-4))
+            config = AidConfig(tol=0.0)
             report = run_aid(DataMatrix(b[:, None]), DataMatrix(a), problem, initial, config)
             for rec, (agg, solution) in zip(report.iterations, problem.solves):
                 assert rec.aggregated_objective == solution.objective - solution.certified_gap
