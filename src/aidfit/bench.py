@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -334,6 +335,8 @@ def _config_payload(settings: RunSettings) -> dict:
         cfg["p"] = settings.p
     if settings.radius is not None:
         cfg["radius"] = settings.radius
+    if settings.standardize:
+        cfg["standardize"] = True
     return cfg
 
 
@@ -372,25 +375,14 @@ def relative_error(problem: str, direct_objective: float, aid_objective: float) 
 
 
 def _instance_spec_for_cell(problem: str, cell: dict, seed: int) -> SyntheticSpec:
-    n = int(cell["n"])
     m = int(cell["m"])
-    if problem == "l1pca":
-        return SyntheticSpec(
-            n=n,
-            m=m,
-            informative_p=0,
-            noise_sigma=float(cell.get("noise_sigma", 1.0)),
-            seed=seed,
-            kind="pca_sample",
-        )
-    informative = int(cell.get("p", m)) if problem == "subset" else m
     return SyntheticSpec(
-        n=n,
+        n=int(cell["n"]),
         m=m,
-        informative_p=informative,
+        informative_p={"l1pca": 0, "subset": int(cell.get("p", m))}.get(problem, m),
         noise_sigma=float(cell.get("noise_sigma", 1.0)),
         seed=seed,
-        kind="regression",
+        kind="pca_sample" if problem == "l1pca" else "regression",
     )
 
 
@@ -432,13 +424,7 @@ def _run_cell_rep(
         spec = _instance_spec_for_cell(problem, cell, seed)
         a, b, _ = generate_instance(spec)
         if not skip_direct:
-            t0 = time.perf_counter()
-            direct = direct_solve(settings, b, a)
-            t_direct = time.perf_counter() - t0
-            row["direct"] = {
-                "objective": float(direct.objective),
-                "wall_time_s": t_direct,
-            }
+            row["direct"] = _direct_row(settings, b, a)
         report = run_solve(settings, spec)
         payload = report["payload"]
         row["aid"] = {
@@ -446,11 +432,12 @@ def _run_cell_rep(
             "wall_time_s": report["meta"]["wall_time_s"],
             "partition_s": report["meta"]["partition_s"],
             "iterations_run": payload["iterations_run"],
+            "final_clusters": payload["iterations"][-1]["cluster_count"],
             "aggregation_rate": payload["aggregation_rate"],
             "final_gap": payload["final_gap"],
             "termination": payload["termination"],
         }
-        if not skip_direct:
+        if "objective" in row.get("direct", {}):
             row["rho"] = row["aid"]["wall_time_s"] / row["direct"]["wall_time_s"]
             row["delta"] = relative_error(
                 problem, row["direct"]["objective"], payload["objective"]
@@ -460,41 +447,48 @@ def _run_cell_rep(
     return row
 
 
-AGGREGATE_FIELDS = (
-    ("direct", "objective"),
-    ("direct", "wall_time_s"),
-    ("aid", "objective"),
-    ("aid", "wall_time_s"),
-    ("aid", "iterations_run"),
-    ("aid", "aggregation_rate"),
-    ("aid", "final_gap"),
-    ("rho", None),
-    ("delta", None),
+def _direct_row(settings: RunSettings, b: DataMatrix | None, a: DataMatrix) -> dict:
+    """The direct baseline's objective and time, or its error."""
+    try:
+        t0 = time.perf_counter()
+        direct = direct_solve(settings, b, a)
+        return {"objective": float(direct.objective), "wall_time_s": time.perf_counter() - t0}
+    except Exception as exc:  # noqa: BLE001 - a failed baseline stays in-row
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+# The numeric fields of a cell summary, each read from one successful row;
+# a row without the field (no direct baseline, or a failed one) is skipped.
+SUMMARY_FIELDS = (
+    ("direct_objective", lambda r: r["direct"]["objective"]),
+    ("direct_s", lambda r: r["direct"]["wall_time_s"]),
+    ("objective", lambda r: r["aid"]["objective"]),
+    ("wall_s", lambda r: r["aid"]["wall_time_s"]),
+    ("partition_s", lambda r: r["aid"]["partition_s"]),
+    ("loop_s", lambda r: r["aid"]["wall_time_s"] - r["aid"]["partition_s"]),
+    ("iterations", lambda r: r["aid"]["iterations_run"]),
+    ("final_clusters", lambda r: r["aid"]["final_clusters"]),
+    ("final_gap", lambda r: r["aid"]["final_gap"]),
+    ("rho", lambda r: r["rho"]),
+    ("delta", lambda r: r["delta"]),
 )
 
 
-def _aggregate_cell(rows: list[dict]) -> dict:
+def _summarize_cell(cell: dict, rows: list[dict]) -> dict:
+    """One cell's rep and failure counts, and the median, min and max of
+    each summary field over its successful rows."""
     ok = [r for r in rows if r["error"] is None]
-    agg: dict[str, Any] = {
-        "aggregate": True,
-        "cell_index": rows[0]["cell_index"],
-        "cell": rows[0]["cell"],
-        "reps": len(rows),
-        "failures": len(rows) - len(ok),
-    }
-    for outer, inner in AGGREGATE_FIELDS:
+    summary: dict[str, Any] = {"cell": cell, "reps": len(rows), "failures": len(rows) - len(ok)}
+    for name, read in SUMMARY_FIELDS:
         values = []
         for r in ok:
-            holder = r.get(outer)
-            if holder is None:
-                continue
-            v = holder if inner is None else holder.get(inner)
-            if isinstance(v, (int, float)):
-                values.append(float(v))
+            with suppress(KeyError):
+                values.append(float(read(r)))
         if values:
-            key = outer if inner is None else f"{outer}_{inner}"
-            agg[f"mean_{key}"] = float(np.mean(values))
-    return agg
+            summary[name] = {
+                "median": float(np.median(values)), "min": min(values), "max": max(values)
+            }
+    return summary
 
 
 def expand_grid(grid: dict) -> list[dict]:
@@ -515,19 +509,16 @@ def run_benchmark(
     skip_direct: bool = False,
 ) -> tuple[list[dict], list[dict]]:
     """Run every (cell, repetition) pair serially, in grid order; returns
-    (rows, aggregate rows)."""
+    (rows, one summary per cell)."""
     if not grid:
         raise ValueError("benchmark grid is empty")
     base_settings = base_settings or RunSettings(problem=problem)
-    cells = expand_grid(grid)
-    rows = [
-        _run_cell_rep(problem, cell, ci, rep, base_settings, base_seed, skip_direct)
-        for ci, cell in enumerate(cells)
-        for rep in range(reps)
-    ]
-    aggregates = []
-    for ci in range(len(cells)):
-        cell_rows = [r for r in rows if r["cell_index"] == ci]
-        if cell_rows:
-            aggregates.append(_aggregate_cell(cell_rows))
-    return rows, aggregates
+    rows, summaries = [], []
+    for ci, cell in enumerate(expand_grid(grid)):
+        cell_rows = [
+            _run_cell_rep(problem, cell, ci, rep, base_settings, base_seed, skip_direct)
+            for rep in range(reps)
+        ]
+        rows += cell_rows
+        summaries.append(_summarize_cell(cell, cell_rows))
+    return rows, summaries

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .bench import (
     PROBLEM_IDS,
+    SUMMARY_FIELDS,
     RunSettings,
     run_benchmark,
     run_solve,
@@ -116,38 +117,39 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
     flat_rows = []
     for row in rows:
         flat: dict[str, object] = {
-            "cell_index": row.get("cell_index"),
-            "rep": row.get("rep", ""),
-            "aggregate": row.get("aggregate", False),
-            "error": row.get("error"),
+            "cell_index": row["cell_index"],
+            "rep": row["rep"],
+            "error": row["error"],
         }
-        for key, value in sorted(row.get("cell", {}).items()):
+        for key, value in sorted(row["cell"].items()):
             flat[f"cell_{key}"] = value
         for side in ("direct", "aid"):
-            for key, value in sorted(row.get(side, {}).items() if row.get(side) else []):
+            for key, value in sorted(row.get(side, {}).items()):
                 flat[f"{side}_{key}"] = value
-        for key in ("rho", "delta", "reps", "failures"):
-            if key in row:
-                flat[key] = row[key]
-        for key, value in row.items():
-            if key.startswith("mean_"):
-                flat[key] = value
+        flat.update((key, row[key]) for key in ("rho", "delta") if key in row)
         flat_rows.append(flat)
-    fieldnames: list[str] = []
-    for row in flat_rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in flat_rows for key in row))
     with path.open("w", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows(flat_rows)
 
 
+def _cell_line(summary: dict) -> str:
+    """One cell's summary: each field's median [min, max]."""
+    parts = [json.dumps(summary["cell"], sort_keys=True)]
+    parts.append(f"failures {summary['failures']}/{summary['reps']}")
+    for name, _ in SUMMARY_FIELDS:
+        if name in summary:
+            s = summary[name]
+            parts.append(f"{name} {s['median']:.4g} [{s['min']:.4g}, {s['max']:.4g}]")
+    return "  ".join(parts)
+
+
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     grid = _load_json(args.grid)
     settings = _settings_from_args(args)
-    rows, aggregates = run_benchmark(
+    rows, cells = run_benchmark(
         args.problem,
         grid,
         reps=args.reps,
@@ -159,7 +161,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "results.jsonl"
     with rows_path.open("w") as fh:
-        for row in rows + aggregates:
+        for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     summary = {
         "problem": args.problem,
@@ -167,12 +169,14 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         "reps": args.reps,
         "rows": str(rows_path),
         "failures": sum(1 for r in rows if r["error"] is not None),
-        "aggregates": aggregates,
+        "cells": cells,
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if args.csv:
-        _write_rows_csv(rows + aggregates, out / "results.csv")
+        _write_rows_csv(rows, out / "results.csv")
+    for cell in cells:
+        print(_cell_line(cell))
     print(f"wrote {rows_path} and {summary_path}")
     return EXIT_OK if summary["failures"] == 0 else EXIT_NOT_CONVERGED
 

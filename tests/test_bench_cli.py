@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from math import comb
@@ -21,7 +23,7 @@ from aidfit.bench import (
     run_solve,
     seed_for,
 )
-from aidfit.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
+from aidfit.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from aidfit.data_io import SyntheticSpec
 from aidfit.problems import InstanceTooLargeError
 
@@ -129,6 +131,14 @@ class TestRunSolve:
         raw = run_solve(RunSettings(problem="lad", seed=12), spec)
         std = run_solve(RunSettings(problem="lad", seed=12, standardize=True), spec)
         assert raw["payload"]["objective"] != std["payload"]["objective"]
+
+    def test_standardize_is_in_the_config(self):
+        spec = SyntheticSpec(n=50, m=3, informative_p=2, seed=1)
+        raw = run_solve(RunSettings(problem="lad", seed=1), spec)["payload"]
+        std = run_solve(RunSettings(problem="lad", seed=1, standardize=True), spec)["payload"]
+        assert raw["instance"] == std["instance"]
+        assert "standardize" not in raw["config"]
+        assert std["config"] == {**raw["config"], "standardize": True}
 
     def test_subset_200x6_tol0_matches_direct(self):
         from aidfit.data_io import generate_instance
@@ -273,16 +283,48 @@ class TestRelativeError:
 
 class TestBenchmark:
     def test_single_cell_rows_and_aggregate(self):
-        rows, aggregates = run_benchmark(
-            "lad", {"n": [30], "m": [3]}, reps=2, base_seed=1
-        )
-        assert len(rows) == 2 and len(aggregates) == 1
-        agg = aggregates[0]
-        deltas = [r["delta"] for r in rows]
-        assert agg["mean_delta"] == pytest.approx(float(np.mean(deltas)), abs=1e-12)
-        assert agg["failures"] == 0
+        rows, cells = run_benchmark("lad", {"n": [30], "m": [3]}, reps=3, base_seed=1)
+        assert len(rows) == 3 and len(cells) == 1
+        (summary,) = cells
+        assert summary["cell"] == {"m": 3, "n": 30}
+        assert (summary["reps"], summary["failures"]) == (3, 0)
+        columns = {
+            "direct_objective": [r["direct"]["objective"] for r in rows],
+            "direct_s": [r["direct"]["wall_time_s"] for r in rows],
+            "objective": [r["aid"]["objective"] for r in rows],
+            "wall_s": [r["aid"]["wall_time_s"] for r in rows],
+            "partition_s": [r["aid"]["partition_s"] for r in rows],
+            "loop_s": [r["aid"]["wall_time_s"] - r["aid"]["partition_s"] for r in rows],
+            "iterations": [r["aid"]["iterations_run"] for r in rows],
+            "final_clusters": [r["aid"]["final_clusters"] for r in rows],
+            "final_gap": [r["aid"]["final_gap"] for r in rows],
+            "rho": [r["rho"] for r in rows],
+            "delta": [r["delta"] for r in rows],
+        }
+        assert sorted(summary) == sorted([*columns, "cell", "reps", "failures"])
+        for name, values in columns.items():
+            assert summary[name] == {
+                "median": np.median(values),
+                "min": np.min(values),
+                "max": np.max(values),
+            }, name
         for r in rows:
             assert r["rho"] == r["aid"]["wall_time_s"] / r["direct"]["wall_time_s"]
+
+    def test_summary_skips_failed_reps(self):
+        rows, cells = run_benchmark(
+            "subset", {"n": [10, 20], "m": [2], "p": [1, 5]}, reps=2, skip_direct=True
+        )
+        assert [c["cell"]["p"] for c in cells] == [1, 5, 1, 5]
+        for cell, cell_rows in zip(cells, (rows[i : i + 2] for i in range(0, 8, 2))):
+            ok = [r for r in cell_rows if r["error"] is None]
+            assert cell["failures"] == 2 - len(ok) == (2 if cell["cell"]["p"] == 5 else 0)
+            assert "direct_s" not in cell and "rho" not in cell
+            if ok:
+                values = [r["aid"]["final_clusters"] for r in ok]
+                assert cell["final_clusters"]["median"] == np.median(values)
+            else:
+                assert "objective" not in cell
 
     def test_grid_expansion_order(self):
         cells = expand_grid({"n": [1, 2], "m": [3]})
@@ -305,6 +347,19 @@ class TestBenchmark:
         )
         assert rows[0]["error"] is not None
         assert aggregates[0]["failures"] == 1
+
+    def test_failed_direct_keeps_the_loop_result(self):
+        # 60 singletons need 2^59 sign matrices; the loop stops at its budget
+        (row,), (cell,) = run_benchmark("l1pca", {"n": [60], "m": [4], "p": [1]}, 1)
+        assert row["error"] is None
+        assert row["direct"] == {
+            "error": "InstanceTooLargeError: 2^59 sign matrices exceed the enumeration cap "
+            f"{bench.PCA_CAP}"
+        }
+        assert row["aid"]["termination"] == "enumeration_budget"
+        assert row["aid"]["final_clusters"] == round(row["aid"]["aggregation_rate"] * 60)
+        assert "rho" not in row and "delta" not in row
+        assert cell["failures"] == 0 and "objective" in cell and "direct_s" not in cell
 
 
 class TestCli:
@@ -446,7 +501,44 @@ class TestCli:
         assert (out / "summary.json").exists()
         assert (out / "results.csv").exists()
         lines = (out / "results.jsonl").read_text().strip().split("\n")
-        assert len(lines) == 3  # two rows plus one aggregate
+        assert len(lines) == 2  # one row per rep
+
+    def test_benchmark_writes_one_row_per_rep_and_one_summary_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        grid = '{"n": [20, 24], "m": [2, 3]}'
+        args = ["--grid", grid, "--reps", "2", "--csv", "--out", str(out)]
+        assert main(["benchmark", "--problem", "lad"] + args) == EXIT_OK
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert [(r["cell_index"], r["rep"]) for r in rows] == [
+            (ci, rep) for ci in range(4) for rep in range(2)
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["cell"] for c in summary["cells"]] == [
+            {"m": 2, "n": 20}, {"m": 2, "n": 24}, {"m": 3, "n": 20}, {"m": 3, "n": 24}
+        ]
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + len(rows)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 4 + 1
+        assert printed[0].startswith('{"m": 2, "n": 20}  failures 0/2  direct_objective ')
+
+    def test_readme_commands_parse(self):
+        # every documented ``aidfit`` command must parse with today's CLI
+        readme = (PERFBENCH.parent / "README.md").read_text()
+        commands = []
+        for lang, block in re.findall(r"```(\w*)\n(.*?)```", readme, re.S):
+            if lang in ("", "bash", "sh"):
+                for line in block.replace("\\\n", " ").splitlines():
+                    if line.startswith("aidfit "):
+                        commands.append(shlex.split(line, comments=True)[1:])
+        assert len(commands) >= 7
+        parser = build_parser()
+        for words in commands:
+            try:
+                args = parser.parse_args(words)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: aidfit {shlex.join(words)}")
+            if args.command == "benchmark":
+                assert isinstance(json.loads(args.grid), dict), words
 
     def test_long_inline_grid_and_spec(self, tmp_path):
         # inline JSON longer than a file name may be is never probed as a path
