@@ -375,14 +375,25 @@ def relative_error(problem: str, direct_objective: float, aid_objective: float) 
 
 
 def _instance_spec_for_cell(problem: str, cell: dict, seed: int) -> SyntheticSpec:
+    n = int(cell["n"])
     m = int(cell["m"])
+    if problem == "l1pca":
+        return SyntheticSpec(
+            n=n,
+            m=m,
+            informative_p=0,
+            noise_sigma=float(cell.get("noise_sigma", 1.0)),
+            seed=seed,
+            kind="pca_sample",
+        )
+    informative = int(cell.get("p", m)) if problem == "subset" else m
     return SyntheticSpec(
-        n=int(cell["n"]),
+        n=n,
         m=m,
-        informative_p={"l1pca": 0, "subset": int(cell.get("p", m))}.get(problem, m),
+        informative_p=informative,
         noise_sigma=float(cell.get("noise_sigma", 1.0)),
         seed=seed,
-        kind="pca_sample" if problem == "l1pca" else "regression",
+        kind="regression",
     )
 
 
@@ -432,7 +443,6 @@ def _run_cell_rep(
             "wall_time_s": report["meta"]["wall_time_s"],
             "partition_s": report["meta"]["partition_s"],
             "iterations_run": payload["iterations_run"],
-            "final_clusters": payload["iterations"][-1]["cluster_count"],
             "aggregation_rate": payload["aggregation_rate"],
             "final_gap": payload["final_gap"],
             "termination": payload["termination"],
@@ -467,7 +477,7 @@ SUMMARY_FIELDS = (
     ("partition_s", lambda r: r["aid"]["partition_s"]),
     ("loop_s", lambda r: r["aid"]["wall_time_s"] - r["aid"]["partition_s"]),
     ("iterations", lambda r: r["aid"]["iterations_run"]),
-    ("final_clusters", lambda r: r["aid"]["final_clusters"]),
+    ("aggregation_rate", lambda r: r["aid"]["aggregation_rate"]),
     ("final_gap", lambda r: r["aid"]["final_gap"]),
     ("rho", lambda r: r["rho"]),
     ("delta", lambda r: r["delta"]),
@@ -475,10 +485,16 @@ SUMMARY_FIELDS = (
 
 
 def _summarize_cell(cell: dict, rows: list[dict]) -> dict:
-    """One cell's rep and failure counts, and the median, min and max of
-    each summary field over its successful rows."""
+    """One cell's rep count, its failed loops and failed direct baselines,
+    and the median, min and max of each summary field over its successful
+    rows."""
     ok = [r for r in rows if r["error"] is None]
-    summary: dict[str, Any] = {"cell": cell, "reps": len(rows), "failures": len(rows) - len(ok)}
+    summary: dict[str, Any] = {
+        "cell": cell,
+        "reps": len(rows),
+        "failures": len(rows) - len(ok),
+        "direct_failures": sum("error" in r.get("direct", {}) for r in rows),
+    }
     for name, read in SUMMARY_FIELDS:
         values = []
         for r in ok:

@@ -1,8 +1,9 @@
 """Command-line interface: solve one instance, sweep a benchmark grid, or
 generate instance bundles.
 
-Exit codes: 0 success, 2 solver did not converge, 3 bad input, 4 an
-enumeration or iteration budget was exceeded.
+Exit codes: 0 success, 2 solver did not converge (for a benchmark: a rep's
+loop or direct baseline failed), 3 bad input, 4 an enumeration or iteration
+budget was exceeded.
 """
 
 from __future__ import annotations
@@ -126,9 +127,15 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
         for side in ("direct", "aid"):
             for key, value in sorted(row.get(side, {}).items()):
                 flat[f"{side}_{key}"] = value
-        flat.update((key, row[key]) for key in ("rho", "delta") if key in row)
+        for key in ("rho", "delta"):
+            if key in row:
+                flat[key] = row[key]
         flat_rows.append(flat)
-    fieldnames = list(dict.fromkeys(key for row in flat_rows for key in row))
+    fieldnames: list[str] = []
+    for row in flat_rows:
+        for key in row:
+            if key not in fieldnames:
+                fieldnames.append(key)
     with path.open("w", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -139,6 +146,7 @@ def _cell_line(summary: dict) -> str:
     """One cell's summary: each field's median [min, max]."""
     parts = [json.dumps(summary["cell"], sort_keys=True)]
     parts.append(f"failures {summary['failures']}/{summary['reps']}")
+    parts.append(f"direct failures {summary['direct_failures']}/{summary['reps']}")
     for name, _ in SUMMARY_FIELDS:
         if name in summary:
             s = summary[name]
@@ -169,6 +177,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         "reps": args.reps,
         "rows": str(rows_path),
         "failures": sum(1 for r in rows if r["error"] is not None),
+        "direct_failures": sum(cell["direct_failures"] for cell in cells),
         "cells": cells,
     }
     summary_path = out / "summary.json"
@@ -178,7 +187,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     for cell in cells:
         print(_cell_line(cell))
     print(f"wrote {rows_path} and {summary_path}")
-    return EXIT_OK if summary["failures"] == 0 else EXIT_NOT_CONVERGED
+    return EXIT_OK if summary["failures"] == summary["direct_failures"] == 0 else EXIT_NOT_CONVERGED
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

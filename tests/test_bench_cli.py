@@ -23,7 +23,14 @@ from aidfit.bench import (
     run_solve,
     seed_for,
 )
-from aidfit.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from aidfit.cli import (
+    EXIT_BUDGET,
+    EXIT_INPUT_ERROR,
+    EXIT_NOT_CONVERGED,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 from aidfit.data_io import SyntheticSpec
 from aidfit.problems import InstanceTooLargeError
 
@@ -296,12 +303,13 @@ class TestBenchmark:
             "partition_s": [r["aid"]["partition_s"] for r in rows],
             "loop_s": [r["aid"]["wall_time_s"] - r["aid"]["partition_s"] for r in rows],
             "iterations": [r["aid"]["iterations_run"] for r in rows],
-            "final_clusters": [r["aid"]["final_clusters"] for r in rows],
+            "aggregation_rate": [r["aid"]["aggregation_rate"] for r in rows],
             "final_gap": [r["aid"]["final_gap"] for r in rows],
             "rho": [r["rho"] for r in rows],
             "delta": [r["delta"] for r in rows],
         }
-        assert sorted(summary) == sorted([*columns, "cell", "reps", "failures"])
+        assert sorted(summary) == sorted([*columns, "cell", "reps", "failures", "direct_failures"])
+        assert summary["direct_failures"] == 0
         for name, values in columns.items():
             assert summary[name] == {
                 "median": np.median(values),
@@ -319,10 +327,11 @@ class TestBenchmark:
         for cell, cell_rows in zip(cells, (rows[i : i + 2] for i in range(0, 8, 2))):
             ok = [r for r in cell_rows if r["error"] is None]
             assert cell["failures"] == 2 - len(ok) == (2 if cell["cell"]["p"] == 5 else 0)
+            assert cell["direct_failures"] == 0
             assert "direct_s" not in cell and "rho" not in cell
             if ok:
-                values = [r["aid"]["final_clusters"] for r in ok]
-                assert cell["final_clusters"]["median"] == np.median(values)
+                values = [r["aid"]["aggregation_rate"] for r in ok]
+                assert cell["aggregation_rate"]["median"] == np.median(values)
             else:
                 assert "objective" not in cell
 
@@ -357,9 +366,9 @@ class TestBenchmark:
             f"{bench.PCA_CAP}"
         }
         assert row["aid"]["termination"] == "enumeration_budget"
-        assert row["aid"]["final_clusters"] == round(row["aid"]["aggregation_rate"] * 60)
         assert "rho" not in row and "delta" not in row
-        assert cell["failures"] == 0 and "objective" in cell and "direct_s" not in cell
+        assert (cell["failures"], cell["direct_failures"]) == (0, 1)
+        assert "objective" in cell and "direct_s" not in cell
 
 
 class TestCli:
@@ -519,7 +528,24 @@ class TestCli:
         assert len((out / "results.csv").read_text().splitlines()) == 1 + len(rows)
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 4 + 1
-        assert printed[0].startswith('{"m": 2, "n": 20}  failures 0/2  direct_objective ')
+        assert printed[0].startswith(
+            '{"m": 2, "n": 20}  failures 0/2  direct failures 0/2  direct_objective '
+        )
+
+    def test_benchmark_counts_failed_direct_baselines(self, tmp_path, capsys):
+        # the loop's result stays, but a rep left without rho and delta fails the run
+        out = tmp_path / "bench"
+        grid = '{"n": [60], "m": [4], "p": [1]}'
+        args = ["--grid", grid, "--reps", "1", "--out", str(out)]
+        assert main(["benchmark", "--problem", "l1pca"] + args) == EXIT_NOT_CONVERGED
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["failures"], summary["direct_failures"]) == (0, 1)
+        (cell,) = summary["cells"]
+        assert (cell["failures"], cell["direct_failures"]) == (0, 1)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith(
+            '{"m": 4, "n": 60, "p": 1}  failures 0/1  direct failures 1/1  objective '
+        )
 
     def test_readme_commands_parse(self):
         # every documented ``aidfit`` command must parse with today's CLI
