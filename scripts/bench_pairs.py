@@ -12,11 +12,11 @@ Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T
 first alternates from pair to pair, so neither always runs on a machine the
 other has just warmed. Both arms of a pair solve the pool in the same order.
 After each run the script reads the run's JSON result line, its
-``wall_solve_s_p50`` line and its ``perfbench/out/rows-*.jsonl`` file, and
-prints one line per run. At the end it prints, per arm, the medians over
-the pairs of
+``wall_solve_s_p50`` and ``wall_setup_s`` lines and its
+``perfbench/out/rows-*.jsonl`` file, and prints one line per run. At the
+end it prints, per arm, the medians over the pairs of
 
-    solve_s_p50 solves_per_s wall_solve_s_p50 kernel_s setup_s peak_rss_mb
+    solve_s_p50 solves_per_s wall_solve_s_p50 kernel_s setup_s wall_setup_s peak_rss_mb
 
 (``kernel_s`` is the median of the run's per-solve calibration times) and
 the quartiles of ``solve_s_p50``, then each arm's per-run ``setup_s``
@@ -26,8 +26,9 @@ per end-to-end metric of ``BENCHMARK.json``, judged by its ``better`` and
 ``bound`` (see ``verdict``): improved, within bound, WORSE (beyond the
 bound) or unresolved (OLD's quartile spread is wider than the bound), then
 in how many pairs NEW was better and the median change against that
-spread. One more verdict line judges the raw ``wall_solve_s_p50`` the same
-way, against ``solve_s_p50``'s bound; it is marked "raw, not declared".
+spread. Two more verdict lines judge the raw ``wall_solve_s_p50`` and
+``wall_setup_s`` the same way, against the bounds of ``solve_s_p50`` and
+``setup_s``; they are marked "raw, not declared".
 The last, ``normalizer`` line compares the arms' median ``kernel_s`` (see
 ``normalizer_line``).
 
@@ -48,7 +49,10 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-FIELDS = ("solve_s_p50", "solves_per_s", "wall_solve_s_p50", "kernel_s", "setup_s", "peak_rss_mb")
+FIELDS = ("solve_s_p50", "solves_per_s", "wall_solve_s_p50", "kernel_s", "setup_s", "wall_setup_s",
+          "peak_rss_mb")
+# each raw wall time run.py prints, by the declared metric whose bound judges it
+RAW = {"wall_solve_s_p50": "solve_s_p50", "wall_setup_s": "setup_s"}
 
 
 class Verdict(NamedTuple):
@@ -102,14 +106,16 @@ def verdict(old: list[float], new: list[float], better: str, bound: float) -> Ve
 
 
 def verdict_lines(runs: dict[str, list[dict]], declared: list[dict]) -> list[str]:
-    """One verdict line per declared end-to-end metric, then one for raw wall time.
+    """One verdict line per declared end-to-end metric, then one per raw wall time.
 
-    ``wall_solve_s_p50`` is judged lower-is-better against ``solve_s_p50``'s
-    bound, so a record shows whether a normalized gain holds in wall time.
+    Each ``RAW`` field whose normalized counterpart is declared is judged
+    lower-is-better against that metric's bound, so a record shows whether
+    a normalized change holds in wall time.
     """
-    solve_bound = next(m["bound"] for m in declared if m["name"] == "solve_s_p50")
+    bounds = {m["name"]: m["bound"] for m in declared}
     judged = [(m["name"], m["better"], m["bound"], "") for m in declared]
-    judged.append(("wall_solve_s_p50", "lower", solve_bound, "raw, not declared, "))
+    judged += [(raw, "lower", bounds[name], "raw, not declared, ")
+               for raw, name in RAW.items() if name in bounds]
     lines = []
     for name, better, bound, note in judged:
         v = verdict([r[name] for r in runs["old"]], [r[name] for r in runs["new"]], better, bound)
@@ -150,8 +156,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     out = {name: m["value"] for name, m in result["metrics"].items()}
     out["failed"] = result["failed"]
-    wall = next(line for line in lines if line.startswith("wall_solve_s_p50 "))
-    out["wall_solve_s_p50"] = float(wall.split()[1])
+    for raw in RAW:
+        out[raw] = float(next(line for line in lines if line.startswith(raw + " ")).split()[1])
     rows_file = checkout / "perfbench" / "out" / f"rows-{workload}-seed{seed}-trace0.jsonl"
     rows = [json.loads(line) for line in rows_file.read_text().splitlines()]
     out["kernel_s"] = statistics.median(r["kernel_s"] for r in rows)

@@ -525,12 +525,17 @@ def run_benchmark(
     skip_direct: bool = False,
 ) -> tuple[list[dict], list[dict]]:
     """Run every (cell, repetition) pair serially, in grid order; returns
-    (rows, one summary per cell)."""
+    (rows, one summary per cell).
+
+    The first cell's rep 0 is solved once more, untimed, before the grid,
+    so that no timed rep pays the process's first calls."""
     if not grid:
         raise ValueError("benchmark grid is empty")
     base_settings = base_settings or RunSettings(problem=problem)
+    cells = expand_grid(grid)
+    _run_cell_rep(problem, cells[0], 0, 0, base_settings, base_seed, skip_direct)
     rows, summaries = [], []
-    for ci, cell in enumerate(expand_grid(grid)):
+    for ci, cell in enumerate(cells):
         cell_rows = [
             _run_cell_rep(problem, cell, ci, rep, base_settings, base_seed, skip_direct)
             for rep in range(reps)

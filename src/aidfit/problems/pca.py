@@ -4,8 +4,12 @@ The optimum of max ||A X||_1 over orthonormal X equals the best nuclear norm
 of A^T S over sign matrices S, so the solver enumerates S (first entry fixed
 to +1, the rest a binary counter) and rounds the winner to its polar factor.
 The enumeration never forms S: it tabulates the signed sums of A's rows by
-doubling and scores all sign vectors from two such tables with one GEMM per
-chunk, meet-in-the-middle style (Horowitz and Sahni, 1974).
+doubling and scores sign vectors from two such tables with one GEMM per
+chunk, meet-in-the-middle style (Horowitz and Sahni, 1974). For p=1 only
+half the low-half table is built: flipping every low-half sign negates the
+low-half sum, so one GEMM entry scores a vector and that complement at
+once. The GEMM only filters; candidates near the best are rescored
+directly, and equal scores go to the smallest counter value.
 Aggregated weighted instances reduce to the unweighted problem by scaling
 each row by its cluster size.
 
@@ -36,7 +40,7 @@ __all__ = [
 ]
 
 PCA_CAP = 2**26  # default enumeration budget: sign matrices per exact solve
-CHUNK = 1 << 17  # scores per GEMM chunk of the p=1 enumeration
+CHUNK = 1 << 17  # sign vectors per GEMM chunk of the p=1 enumeration, two per score
 TIE_REL = 1e-10  # relative band below the best expanded score that is rescored
 DIRECT_BLOCK = 1 << 17  # floats per block of signed rows in ``_direct_scores``
 
@@ -88,20 +92,22 @@ def _signed_sums(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _half_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Signed-sum tables of the high and low halves of the p=1 counter.
+    """Signed-sum tables of the high half and of half the low half of the p=1 counter.
 
-    Returns (TH, TL, l): TH[i] = a_0 + sum over the high rows and TL[j] the
-    sum over the l low rows, so counter value i * 2^l + j has the signed sum
-    TH[i] + TL[j].
+    Returns (TH, TL, l): TH[i] = a_0 + the signed sum of the high rows, and
+    TL[j], j < 2^(l-1), the signed sum of the l low rows with the first of
+    them at +1. Counter value i * 2^l + j has the signed sum TH[i] + TL[j],
+    and its low-half complement i * 2^l + 2^l - 1 - j has TH[i] - TL[j].
+    With one row there is no low half (l = 0): TL is one zero row, whose
+    complement is itself.
     """
     bits = a.shape[0] - 1
     low = (bits + 1) // 2
     split = 1 + bits - low
-    return (
-        _signed_sums(a[1:split], a[0]),
-        _signed_sums(a[split:], np.zeros(a.shape[1])),
-        low,
-    )
+    th = _signed_sums(a[1:split], a[0])
+    if low == 0:
+        return th, np.zeros((1, a.shape[1])), 0
+    return th, _signed_sums(a[split + 1 :], a[split]), low
 
 
 def _direct_scores(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -131,39 +137,50 @@ def _direct_scores(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _best_sign_vector(a: np.ndarray) -> int:
     """Counter value of the earliest maximizer of ``_direct_scores``.
 
-    With TH, TL from ``_half_tables``, the squared score of i * 2^l + j is
-    ||TH_i||^2 + ||TL_j||^2 + 2 TH_i . TL_j, one GEMM of the augmented
-    tables [TH, ||TH||^2, 1] and [2 TL, 1, ||TL||^2] per chunk of at most
-    ``CHUNK`` scores in counter order. At a maximizer TH_i . TL_j >= 0
-    (flipping the whole low half would score higher otherwise), so there the
-    expansion has no cancellation and lies within a few ulps per row of the
-    direct score. Every entry within ``TIE_REL`` of the running expanded
-    maximum is rescored directly, in counter order, and the incumbent is
-    replaced only on a strictly higher direct score. Only the chunk rows
-    whose own maximum reaches that band are searched for such entries.
+    With TH, TL from ``_half_tables``, counter value i * 2^l + j and its
+    complement i * 2^l + 2^l - 1 - j score ||TH_i||^2 + ||TL_j||^2 +- 2 TH_i . TL_j,
+    so one GEMM of TH against 2 TL per chunk of at most ``CHUNK`` / 2 pairs
+    gives the better of the two as ||TH_i||^2 + ||TL_j||^2 + 2 |TH_i . TL_j|.
+    Its terms are nonnegative, so it lies within a few ulps per row of the
+    direct score; it only filters, and may round differently. Every pair
+    within ``TIE_REL`` of the running maximum (searched only in the chunk
+    rows whose maximum reaches it) is rescored directly: the member with
+    the nonnegative dot product, and the other too if its own expansion
+    reaches the band (ties, or a dot product too small to sign). The winner
+    is the largest direct score, on ties the smallest counter value, a rule
+    that does not depend on the order of the chunks.
     """
     th, tl, low_bits = _half_tables(a)
-    hi = np.column_stack([th, np.einsum("ij,ij->i", th, th), np.ones(len(th))])
-    lo = np.column_stack([2.0 * tl, np.ones(len(tl)), np.einsum("ij,ij->i", tl, tl)]).T
-    cols = min(lo.shape[1], CHUNK)
-    rows = CHUNK // cols
+    th_sq = np.einsum("ij,ij->i", th, th)
+    tl_sq = np.einsum("ij,ij->i", tl, tl)
+    lo = (2.0 * tl).T.copy()  # C order: the thin GEMM runs faster on it than on tl's transpose
+    cols = min(len(tl), CHUNK // 2)
+    rows = CHUNK // 2 // cols
     top = -np.inf
     best_score = -np.inf
     best_index = 0
-    for i0 in range(0, len(hi), rows):
-        for j0 in range(0, lo.shape[1], cols):
-            scores = hi[i0 : i0 + rows] @ lo[:, j0 : j0 + cols]
-            rowmax = scores.max(axis=1)
+    for i0 in range(0, len(th), rows):
+        for j0 in range(0, len(tl), cols):
+            scores = th[i0 : i0 + rows] @ lo[:, j0 : j0 + cols]
+            np.abs(scores, out=scores)
+            scores += tl_sq[j0 : j0 + cols]
+            rowmax = scores.max(axis=1) + th_sq[i0 : i0 + rows]
             top = max(top, float(rowmax.max()))
             floor = top - TIE_REL * abs(top)
             live = np.flatnonzero(rowmax >= floor)
             if live.size == 0:
                 continue
-            r, j = np.nonzero(scores[live] >= floor)
-            idx = ((live[r] + i0) << low_bits) + j + j0
+            r, j = np.nonzero(scores[live] + th_sq[i0 + live, None] >= floor)
+            i = live[r] + i0
+            j += j0
+            dot = np.einsum("ij,ij->i", th[i], tl[j])
+            plus = (i << low_bits) + j
+            minus = (i << low_bits) + (1 << low_bits) - 1 - j
+            both = th_sq[i] + tl_sq[j] - 2.0 * np.abs(dot) >= floor
+            idx = np.sort(np.concatenate([plus[(dot >= 0.0) | both], minus[(dot < 0.0) | both]]))
             exact = _direct_scores(a, idx)
             k = int(np.argmax(exact))
-            if exact[k] > best_score:
+            if exact[k] > best_score or (exact[k] == best_score and idx[k] < best_index):
                 best_score = float(exact[k])
                 best_index = int(idx[k])
     return best_index

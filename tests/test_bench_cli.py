@@ -335,6 +335,28 @@ class TestBenchmark:
             else:
                 assert "objective" not in cell
 
+    def test_first_rep_is_solved_once_untimed_before_the_grid(self, monkeypatch):
+        seeds_solved = []
+        direct = bench.direct_solve
+
+        def spy(settings, b, a):
+            seeds_solved.append(settings.seed)
+            return direct(settings, b, a)
+
+        monkeypatch.setattr(bench, "direct_solve", spy)
+        rows, cells = run_benchmark("lad", {"n": [20, 30], "m": [2]}, reps=2, base_seed=5)
+        seeds = [seed_for(5, ci, rep) for ci in range(2) for rep in range(2)]
+        # one extra direct solve, of the first cell's rep 0, precedes the timed ones
+        assert seeds_solved == [seeds[0], *seeds]
+        assert [(r["cell"]["n"], r["rep"], r["seed"]) for r in rows] == [
+            (20, 0, seeds[0]), (20, 1, seeds[1]), (30, 0, seeds[2]), (30, 1, seeds[3])
+        ]
+        assert all(r["error"] is None and "rho" in r for r in rows)
+        assert [c["reps"] for c in cells] == [2, 2]
+        seeds_solved.clear()
+        rows, _ = run_benchmark("lad", {"n": [20], "m": [2]}, reps=1, skip_direct=True)
+        assert seeds_solved == [] and "direct" not in rows[0]
+
     def test_grid_expansion_order(self):
         cells = expand_grid({"n": [1, 2], "m": [3]})
         assert cells == [{"m": 3, "n": 1}, {"m": 3, "n": 2}]

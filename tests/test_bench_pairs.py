@@ -108,6 +108,44 @@ def test_raw_wall_time_gets_its_own_verdict_line():
     assert "new better in 0 of 10 pairs" in lines[2]
 
 
+def test_raw_setup_time_gets_its_own_verdict_line():
+    declared = [
+        {"name": "solve_s_p50", "better": "lower", "bound": 0.2},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+    ]
+    # normalized set-up time halves while raw set-up time stays put
+    runs = {
+        arm: [{"solve_s_p50": o, "wall_solve_s_p50": o, "setup_s": o * scale,
+               "wall_setup_s": o + 0.01 * (arm == "new")} for o in OLD]
+        for arm, scale in (("old", 1.0), ("new", 0.5))
+    }
+    lines = verdict_lines(runs, declared)
+    assert [line.split()[1] for line in lines] == [
+        "solve_s_p50", "setup_s", "wall_solve_s_p50", "wall_setup_s"
+    ]
+    assert lines[1].startswith("verdict setup_s (lower is better, bound 0.25): improved;")
+    assert lines[3].startswith(
+        "verdict wall_setup_s (raw, not declared, lower is better, bound 0.25): within bound;"
+    )
+    assert "new better in 0 of 10 pairs" in lines[3]
+
+
+def test_run_once_reads_the_raw_wall_times(tmp_path):
+    # a stand-in run.py that prints the lines perfbench/run.py prints
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    (tmp_path / "perfbench" / "out" / "rows-w-seed3-trace0.jsonl").write_text(
+        '{"kernel_s": 0.012}\n{"kernel_s": 0.010}\n{"kernel_s": 0.011}\n'
+    )
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('wall_solve_s_p50 0.0042 s')\n"
+        "print('wall_setup_s 0.213 s')\n"
+        "print('{\"metrics\": {\"setup_s\": {\"value\": 0.11}}, \"failed\": 0}')\n"
+    )
+    out = bench_pairs.run_once(tmp_path, "w", 3, 1.0)
+    assert out == {"setup_s": 0.11, "failed": 0, "wall_solve_s_p50": 0.0042,
+                   "wall_setup_s": 0.213, "kernel_s": 0.011}
+
+
 def test_normalizer_line_flags_two_kernel_states():
     # the kernel ran at about 0.034 s in one arm and 0.015 s in the other
     runs = {
@@ -144,7 +182,8 @@ def test_workload_list_runs_and_reports_each_workload_in_turn(tmp_path, monkeypa
         base = {"lad-tall": 0.010, "subset-paper": 0.004}[workload]
         value = base * (0.9 if checkout.name == "new" else 1.0)
         return {"solve_s_p50": value, "solves_per_s": 1 / value, "wall_solve_s_p50": value,
-                "kernel_s": 0.015, "setup_s": 0.1, "peak_rss_mb": 50.0, "failed": 0}
+                "kernel_s": 0.015, "setup_s": 0.1, "wall_setup_s": 0.2, "peak_rss_mb": 50.0,
+                "failed": 0}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     bench_pairs.main([str(tmp_path / "old"), str(tmp_path / "new"),

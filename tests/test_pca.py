@@ -196,6 +196,24 @@ class TestTieBreak:
                 expected = l1pca_first_maximizer_oracle(a)
                 assert np.array_equal(sol.sign_matrix[:, 0], expected), (n, a)
 
+    @pytest.mark.parametrize("chunk", [pca.CHUNK, 4], ids=["default-chunk", "chunk-4"])
+    def test_p1_vector_and_its_low_half_complement_tie(self, rng, monkeypatch, chunk):
+        # a_0 and the high rows in one column, the low rows in the other:
+        # every TH_i . TL_j is exactly 0, so each sign vector ties with the
+        # one whose low-half signs are all flipped, and the earlier must win
+        monkeypatch.setattr(pca, "CHUNK", chunk)
+        for n in range(2, 13):
+            split = n - n // 2  # first low-half row
+            for _ in range(5):
+                a = np.zeros((n, 2))
+                a[:split, 0] = rng.integers(-3, 4, size=split)
+                a[split:, 1] = rng.integers(-3, 4, size=n - split)
+                th, tl, _ = pca._half_tables(a)
+                assert not (th @ tl.T).any()
+                sol = solve_l1pca_exact(DataMatrix(a), p=1)
+                expected = l1pca_first_maximizer_oracle(a)
+                assert np.array_equal(sol.sign_matrix[:, 0], expected), (n, a)
+
     def test_all_zero_rows_return_counter_zero_one_chunk_at_a_time(self, monkeypatch):
         # every sign vector ties, so every one is rescored, a chunk at a time
         batches = []
@@ -234,11 +252,14 @@ class TestTieBreak:
     def test_half_tables_are_signed_sums_in_counter_order(self, rng, n):
         a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
         th, tl, low = pca._half_tables(a)
-        assert th.shape == (2 ** (n - 1 - low), 3) and tl.shape == (2**low, 3)
+        assert th.shape == (2 ** (n - 1 - low), 3) and tl.shape == (max(1, 2**low // 2), 3)
         idx = np.arange(2 ** (n - 1))
         signs = np.column_stack([np.ones(idx.size), pca._sign_block(idx, n - 1)])
         i, j = np.divmod(idx, 2**low)
-        err = np.abs(th[i] + tl[j] - signs @ a)
+        # the low counter's upper half holds the complements of its lower half
+        half = np.minimum(j, 2**low - 1 - j)
+        flip = np.where(j < len(tl), 1.0, -1.0)
+        err = np.abs(th[i] + flip[:, None] * tl[half] - signs @ a)
         assert np.all(err <= 1e-12 * np.abs(a).sum(axis=0))
 
 
